@@ -6,6 +6,8 @@
 // faster. This benchmark reproduces both claims across system sizes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -22,17 +24,20 @@
 #include "sim/simulation.h"
 #include "svc/controller_service.h"
 #include "svc/event_adapters.h"
+#include "web/transactional_app.h"
 #include "web/workload_generator.h"
 
 namespace mwp {
 namespace {
 
 /// Snapshot with `running` placed jobs (3 per node) and `queued` waiting,
-/// in the shape of Experiment One.
+/// in the shape of Experiment One, optionally with one transactional app.
 struct BenchState {
   ClusterSpec cluster;
   std::vector<JobProfile> profiles;
   std::vector<JobView> jobs;
+  std::unique_ptr<TransactionalApp> web;
+  std::vector<TxView> tx;
 
   BenchState(int nodes, int running, int queued)
       : cluster(ClusterSpec::Uniform(nodes, PaperNode())) {
@@ -67,8 +72,32 @@ struct BenchState {
     }
   }
 
+  /// Adds one transactional app with an instance on every node, loaded to
+  /// about a third of the cluster's CPU; its 1,024 MB instance fits beside
+  /// three jobs.
+  void AddWebAppOnEveryNode() {
+    const int nodes = cluster.num_nodes();
+    TransactionalAppSpec spec;
+    spec.id = 1'000'000;
+    spec.name = "web";
+    spec.memory_per_instance = 1'024.0;
+    spec.response_time_goal = 1.0;
+    spec.demand_per_request = 1.0;
+    spec.min_response_time = 0.1;
+    spec.saturation_allocation = nodes * 6'000.0;
+    web = std::make_unique<TransactionalApp>(spec);
+    TxView v;
+    v.id = spec.id;
+    v.app = web.get();
+    v.arrival_rate = nodes * 5'000.0;
+    v.memory = spec.memory_per_instance;
+    v.max_instances = spec.max_instances;
+    for (int n = 0; n < nodes; ++n) v.current_nodes.push_back(n);
+    tx.push_back(v);
+  }
+
   PlacementSnapshot Snapshot() const {
-    return PlacementSnapshot(&cluster, 0.0, 600.0, jobs, {});
+    return PlacementSnapshot(&cluster, 0.0, 600.0, jobs, tx);
   }
 };
 
@@ -275,19 +304,46 @@ void BM_OptimizeShortcut(benchmark::State& state) {
 BENCHMARK(BM_OptimizeShortcut)->Arg(5)->Arg(25)->Arg(100)->Unit(
     benchmark::kMillisecond);
 
-void BM_LoadDistributor(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  BenchState bench(nodes, nodes * 3, 0);
+/// Distributes the current placement of `bench` once per iteration and
+/// reports the fill entities the water-fill bargains over (one batch
+/// aggregate plus each transactional app), the jobs behind the aggregate,
+/// and the distributor's max-flow effort.
+void RunDistributorBench(benchmark::State& state, const BenchState& bench) {
   const PlacementSnapshot snap = bench.Snapshot();
   const LoadDistributor distributor(&snap);
+  DistributorScratch scratch;
   for (auto _ : state) {
-    auto result = distributor.Distribute(snap.current_placement());
+    auto result = distributor.Distribute(snap.current_placement(), scratch);
     benchmark::DoNotOptimize(result.totals);
   }
-  state.counters["entities"] = nodes * 3;
+  const DistributorScratch::Stats stats = scratch.stats();
+  state.counters["fill_entities"] = 1 + snap.num_tx();
+  state.counters["jobs"] = snap.num_jobs();
+  state.counters["flow_probes_per_call"] =
+      static_cast<double>(stats.flow_probes) /
+      static_cast<double>(std::max<std::uint64_t>(stats.distribute_calls, 1));
+  state.counters["augmentations_per_probe"] =
+      static_cast<double>(stats.augmentations) /
+      static_cast<double>(std::max<std::uint64_t>(stats.flow_probes, 1));
+}
+
+void BM_LoadDistributor(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  const BenchState bench(nodes, nodes * 3, 0);
+  RunDistributorBench(state, bench);
 }
 BENCHMARK(BM_LoadDistributor)->Arg(5)->Arg(25)->Arg(50)->Unit(
     benchmark::kMillisecond);
+
+void BM_LoadDistributorMixed(benchmark::State& state) {
+  // The hot case the fixture above misses: a queue of 50 jobs behind the
+  // batch aggregate and a transactional app on every node.
+  const int nodes = static_cast<int>(state.range(0));
+  BenchState bench(nodes, nodes * 3, 50);
+  bench.AddWebAppOnEveryNode();
+  RunDistributorBench(state, bench);
+}
+BENCHMARK(BM_LoadDistributorMixed)->Arg(25)->Unit(benchmark::kMillisecond);
 
 void BM_RepairCycle(benchmark::State& state) {
   // Out-of-band repair latency: a loaded system (checkpointed jobs plus a

@@ -12,11 +12,6 @@
 namespace mwp {
 namespace {
 
-constexpr double kFlowEps = 1e-9;
-/// Total source-edge residual RouteDemands tolerates while still calling a
-/// demand set routable (same budget the aggregate comparison used).
-constexpr double kFeasibilityTol = 1e-6;
-
 /// Current-stage max speed of a job view.
 MHz StageMaxSpeed(const JobView& jv) {
   const int stage = std::min(jv.profile->StageAt(jv.work_done),
@@ -193,157 +188,70 @@ void LoadDistributor::PrepareFlowNetwork(
   const PlacementSnapshot& snap = *snapshot_;
   const int num_nodes = snap.num_nodes();
   const int e_count = static_cast<int>(entities.size());
-  const int vertices = 2 + e_count + num_nodes;
-  const auto v_count = static_cast<std::size_t>(vertices);
-
-  scratch.vertices = vertices;
-  scratch.num_fill_entities = e_count;
-  scratch.cap_template.assign(v_count * v_count, 0.0);
-  auto tcap = [&](int from, int to) -> double& {
-    return scratch.cap_template[static_cast<std::size_t>(from) * v_count +
-                                static_cast<std::size_t>(to)];
-  };
   const int sink = 1 + e_count + num_nodes;
+
+  FeasibilityFlow& flow = scratch.flow;
+  flow.Reset(sink + 1, /*source=*/0, sink);
+  for (int i = 0; i < e_count; ++i) flow.AddDemandEdge(1 + i);
+  scratch.num_fill_entities = e_count;
+  scratch.entity_edges.resize(static_cast<std::size_t>(e_count));
   for (int i = 0; i < e_count; ++i) {
     const FillEntity& e = entities[static_cast<std::size_t>(i)];
     for (std::size_t k = 0; k < e.nodes.size(); ++k) {
-      tcap(1 + i, 1 + e_count + e.nodes[k]) += e.edge_caps[k];
+      const int edge =
+          flow.AddEdge(1 + i, 1 + e_count + e.nodes[k], e.edge_caps[k]);
+      if (k == 0) scratch.entity_edges[static_cast<std::size_t>(i)] = edge;
     }
   }
   for (int n = 0; n < num_nodes; ++n) {
-    tcap(1 + e_count + n, sink) += snap.NodeAvailableCpu(n);
+    flow.AddEdge(1 + e_count + n, sink, snap.NodeAvailableCpu(n));
   }
+  flow.Finalize();
+}
 
-  // Neighbour lists in ascending vertex order so the BFS visits candidates
-  // exactly as the dense row scan it replaces did. An edge (u, v) can carry
-  // residual capacity iff the template has capacity on (u, v) or (v, u), or
-  // it is a source→entity demand edge (set per probe).
-  scratch.adj.assign(v_count, {});
-  auto connected = [&](int u, int v) {
-    if (scratch.cap_template[static_cast<std::size_t>(u) * v_count +
-                             static_cast<std::size_t>(v)] > 0.0 ||
-        scratch.cap_template[static_cast<std::size_t>(v) * v_count +
-                             static_cast<std::size_t>(u)] > 0.0) {
-      return true;
-    }
-    const auto is_entity = [&](int x) { return x >= 1 && x <= e_count; };
-    return (u == 0 && is_entity(v)) || (v == 0 && is_entity(u));
-  };
-  for (int u = 0; u < vertices; ++u) {
-    for (int v = 0; v < vertices; ++v) {
-      if (u != v && connected(u, v)) {
-        scratch.adj[static_cast<std::size_t>(u)].push_back(v);
-      }
-    }
-  }
-
-  scratch.cap.resize(v_count * v_count);
-  scratch.parent.resize(v_count);
-  scratch.bfs_queue.reserve(v_count);
+bool LoadDistributor::ProbeDemands(const std::vector<MHz>& demands,
+                                   DistributorScratch& scratch,
+                                   bool commit) const {
+  MWP_DCHECK(scratch.num_fill_entities == static_cast<int>(demands.size()));
+  ++scratch.stats_.flow_probes;
+  MHz demand_total = 0.0;
+  for (const MHz d : demands) demand_total += d;
+  if (demand_total <= 0.0) return true;
+  return scratch.flow.Feasible(demands, commit);
 }
 
 bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
                                    const std::vector<MHz>& demands,
                                    DistributorScratch& scratch,
-                                   std::vector<std::vector<MHz>>* routing) const {
-  const PlacementSnapshot& snap = *snapshot_;
-  const int num_nodes = snap.num_nodes();
+                                   std::vector<std::vector<MHz>>& routing) const {
+  const int num_nodes = snapshot_->num_nodes();
   const int e_count = static_cast<int>(entities.size());
-  MWP_DCHECK(scratch.num_fill_entities == e_count &&
-             scratch.vertices == 2 + e_count + num_nodes);
+  MWP_DCHECK(scratch.num_fill_entities == e_count);
   ++scratch.stats_.flow_probes;
 
   MHz demand_total = 0.0;
-  for (int i = 0; i < e_count; ++i) demand_total += demands[static_cast<std::size_t>(i)];
-  if (routing != nullptr) {
-    routing->assign(static_cast<std::size_t>(e_count),
-                    std::vector<MHz>(static_cast<std::size_t>(num_nodes), 0.0));
-  }
+  for (const MHz d : demands) demand_total += d;
+  routing.assign(static_cast<std::size_t>(e_count),
+                 std::vector<MHz>(static_cast<std::size_t>(num_nodes), 0.0));
   if (demand_total <= 0.0) return true;
 
-  const int source = 0;
-  const int sink = 1 + e_count + num_nodes;
-  const auto v_count = static_cast<std::size_t>(scratch.vertices);
-  std::vector<double>& cap = scratch.cap;
-  std::copy(scratch.cap_template.begin(), scratch.cap_template.end(),
-            cap.begin());
+  // A cold solve: the routing feeds the decisions, and a max-flow with
+  // several entities is not unique, so it must not depend on which probes
+  // ran before. Flows are extracted before the verdict so an infeasible call
+  // still reports its max-flow attempt — the water-fill's best-effort
+  // fallback grants entities exactly these shares.
+  FeasibilityFlow& flow = scratch.flow;
+  const double shortfall = flow.SolveCold(demands);
   for (int i = 0; i < e_count; ++i) {
-    cap[static_cast<std::size_t>(source) * v_count +
-        static_cast<std::size_t>(1 + i)] = demands[static_cast<std::size_t>(i)];
-  }
-
-  // Edmonds–Karp over the adjacency lists; BFS buffers are reused across
-  // probes and augmentations.
-  std::vector<int>& parent = scratch.parent;
-  std::vector<int>& queue = scratch.bfs_queue;
-  for (;;) {
-    std::fill(parent.begin(), parent.end(), -1);
-    parent[static_cast<std::size_t>(source)] = source;
-    queue.clear();
-    queue.push_back(source);
-    for (std::size_t head = 0;
-         head < queue.size() && parent[static_cast<std::size_t>(sink)] < 0;
-         ++head) {
-      const int u = queue[head];
-      for (int v : scratch.adj[static_cast<std::size_t>(u)]) {
-        if (parent[static_cast<std::size_t>(v)] < 0 &&
-            cap[static_cast<std::size_t>(u) * v_count +
-                static_cast<std::size_t>(v)] > kFlowEps) {
-          parent[static_cast<std::size_t>(v)] = u;
-          queue.push_back(v);
-        }
+    const FillEntity& e = entities[static_cast<std::size_t>(i)];
+    const int first_edge = scratch.entity_edges[static_cast<std::size_t>(i)];
+    for (std::size_t k = 0; k < e.nodes.size(); ++k) {
+      const double f = flow.EdgeFlow(first_edge + static_cast<int>(k));
+      if (f > kFlowEps) {
+        routing[static_cast<std::size_t>(i)]
+               [static_cast<std::size_t>(e.nodes[k])] = f;
       }
     }
-    if (parent[static_cast<std::size_t>(sink)] < 0) break;
-    double bottleneck = std::numeric_limits<double>::infinity();
-    for (int v = sink; v != source; v = parent[static_cast<std::size_t>(v)]) {
-      const int u = parent[static_cast<std::size_t>(v)];
-      bottleneck = std::min(bottleneck,
-                            cap[static_cast<std::size_t>(u) * v_count +
-                                static_cast<std::size_t>(v)]);
-    }
-    for (int v = sink; v != source; v = parent[static_cast<std::size_t>(v)]) {
-      const int u = parent[static_cast<std::size_t>(v)];
-      cap[static_cast<std::size_t>(u) * v_count + static_cast<std::size_t>(v)] -=
-          bottleneck;
-      cap[static_cast<std::size_t>(v) * v_count + static_cast<std::size_t>(u)] +=
-          bottleneck;
-    }
-  }
-
-  // Extract flows before the feasibility verdict so an infeasible call still
-  // reports its max-flow attempt — the water-fill's best-effort fallback
-  // grants entities exactly these shares.
-  if (routing != nullptr) {
-    for (int i = 0; i < e_count; ++i) {
-      const FillEntity& e = entities[static_cast<std::size_t>(i)];
-      for (std::size_t k = 0; k < e.nodes.size(); ++k) {
-        // Flow pushed over the edge: original capacity minus the residual.
-        const double f =
-            e.edge_caps[k] -
-            cap[static_cast<std::size_t>(1 + i) * v_count +
-                static_cast<std::size_t>(1 + e_count + e.nodes[k])];
-        if (f > kFlowEps) {
-          (*routing)[static_cast<std::size_t>(i)]
-                    [static_cast<std::size_t>(e.nodes[k])] = f;
-        }
-      }
-    }
-  }
-
-  // Feasibility = every source edge saturated, i.e. the summed source-edge
-  // residuals stay within tolerance. Summing the residuals — not comparing
-  // `pushed` against `demand_total` — keeps the measurement at each
-  // entity's own magnitude: the aggregate sums mix magnitudes (a 1287 MHz
-  // total carries ~1e-12 of rounding noise), enough to flip a knife-edge
-  // verdict between two water-filling rounds whose demand sets differ only
-  // in already-satisfied entities. The final fixed-demand routing relies on
-  // the verdict being monotone in the demands, so it must not depend on the
-  // scale of the other entities in the set.
-  double shortfall = 0.0;
-  for (int i = 0; i < e_count; ++i) {
-    shortfall += cap[static_cast<std::size_t>(source) * v_count +
-                     static_cast<std::size_t>(1 + i)];
   }
   return shortfall <= kFeasibilityTol;
 }
@@ -459,9 +367,11 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
           entities[i].active ? entities[i].DemandAt(level) : entities[i].fixed_demand;
     }
   };
+  // Level probes commit their flow when feasible, so the next, higher level
+  // starts warm from it.
   auto feasible = [&](Utility level) {
     refresh_demands(level);
-    return RouteDemands(entities, demands, scratch, nullptr);
+    return ProbeDemands(demands, scratch, /*commit=*/true);
   };
 
   int active_count = 0;
@@ -469,8 +379,9 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
     if (e.active) ++active_count;
   }
 
-  int guard = active_count + 2;
-  while (active_count > 0 && guard-- > 0) {
+  // Every round fixes at least one entity, so the round bound never binds.
+  const int max_rounds = active_count + 2;
+  for (int round = 0; active_count > 0 && round < max_rounds; ++round) {
     Utility hi = kUtilityFloor;
     for (const FillEntity& e : entities) {
       if (e.active) hi = std::max(hi, e.max_u);
@@ -483,7 +394,7 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
       // of the floor demands.
       refresh_demands(kUtilityFloor);
       std::vector<std::vector<MHz>>& routing = scratch.routing;
-      RouteDemands(entities, demands, scratch, &routing);  // best-effort
+      RouteDemands(entities, demands, scratch, routing);  // best-effort
       for (std::size_t i = 0; i < entities.size(); ++i) {
         FillEntity& e = entities[i];
         if (!e.active) continue;
@@ -541,7 +452,8 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
       if (!e.active) continue;
       const MHz saved = demands[i];
       demands[i] = e.DemandAt(level + options_.probe_delta);
-      const bool can_rise = RouteDemands(entities, demands, scratch, nullptr);
+      // Not committed: every δ-probe starts from the level's flow.
+      const bool can_rise = ProbeDemands(demands, scratch, /*commit=*/false);
       demands[i] = saved;
       if (!can_rise) {
         e.fixed_demand = e.DemandAt(level);
@@ -563,12 +475,14 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
     }
   }
 
+  MWP_DCHECK(active_count == 0);
+
   // Final routing with the fixed demands (always the last verified set).
   for (std::size_t i = 0; i < entities.size(); ++i) {
     demands[i] = entities[i].fixed_demand;
   }
   std::vector<std::vector<MHz>>& routing = scratch.routing;
-  const bool routed = RouteDemands(entities, demands, scratch, &routing);
+  const bool routed = RouteDemands(entities, demands, scratch, routing);
   MWP_CHECK_MSG(routed, "final fixed demands must be routable");
 
   DistributionResult result;

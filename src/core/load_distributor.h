@@ -25,13 +25,18 @@
 //
 // Distribute is called once per candidate placement — hundreds to thousands
 // of times per control cycle — so all per-call state lives in a reusable
-// DistributorScratch: the flow network is built once per Distribute as a
-// capacity template plus adjacency lists (only the source→entity demands
-// change between the ~50 feasibility probes of the bisection), and the batch
+// DistributorScratch: the flow network is built once per Distribute as
+// compact paired-edge residual arrays (only the source→entity demands change
+// between the ~50 feasibility probes of the bisection), and the batch
 // aggregate's demand curve is memoized across candidates (it depends only on
-// the snapshot, not the placement). All reuse is bit-for-bit neutral: the
-// same max-flow augmenting paths are taken and memoized demands are the
-// exact doubles a fresh computation would produce.
+// the snapshot, not the placement). Feasibility probes start warm from the
+// flow of the last feasible probe when no demand fell below it
+// (feasibility_flow.h), yet every verdict is exact: it equals the verdict of
+// a cold solve, and a probe whose warm shortfall is too close to the
+// tolerance to tell is re-solved cold. The final routing, and the
+// best-effort routing of an unroutable floor, are always cold solves, so
+// they take the same augmenting paths a fresh solve would; memoized demands
+// are the exact doubles a fresh computation would produce.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +47,7 @@
 #include <vector>
 
 #include "cluster/placement.h"
+#include "core/feasibility_flow.h"
 #include "core/hypothetical_rpf.h"
 #include "core/snapshot.h"
 
@@ -64,8 +70,8 @@ struct DistributionResult {
   Utility batch_level = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Reusable buffers for Distribute: flow-network capacities and Edmonds–Karp
-/// working state, plus memo tables valid for the owning distributor's
+/// Reusable buffers for Distribute: the feasibility flow network and its
+/// residual buffers, plus memo tables valid for the owning distributor's
 /// snapshot. Use one scratch per thread; results are independent of which
 /// scratch is used (memoized values are bit-identical to recomputation).
 class DistributorScratch {
@@ -77,9 +83,19 @@ class DistributorScratch {
   /// per-cycle distributor effort in the observability trace.
   struct Stats {
     std::uint64_t distribute_calls = 0;  ///< Distribute() invocations
-    std::uint64_t flow_probes = 0;       ///< max-flow feasibility probes
+    /// Max-flow probes: feasibility verdicts plus routings, one each (a
+    /// cold re-check does not count as a second probe).
+    std::uint64_t flow_probes = 0;
+    std::uint64_t augmentations = 0;  ///< augmenting paths, all solves
+    /// Warm verdicts too close to the tolerance, re-solved cold.
+    std::uint64_t cold_rechecks = 0;
   };
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    Stats s = stats_;
+    s.augmentations = flow.augmentations();
+    s.cold_rechecks = flow.cold_rechecks();
+    return s;
+  }
 
  private:
   friend class LoadDistributor;
@@ -91,14 +107,11 @@ class DistributorScratch {
   const void* owner = nullptr;
 
   // Flow network for the current Distribute call (vertices: source, one per
-  // fill entity, one per node, sink).
-  int vertices = 0;
+  // fill entity, one per node, sink). Demand edge i feeds fill entity i;
+  // fill entity i's instance edges are entity_edges[i] + k, per nodes[k].
+  FeasibilityFlow flow;
   int num_fill_entities = 0;
-  std::vector<double> cap_template;    // V×V capacities, source row zero
-  std::vector<double> cap;             // working residual capacities
-  std::vector<std::vector<int>> adj;   // neighbours (ascending) per vertex
-  std::vector<int> parent;             // BFS tree
-  std::vector<int> bfs_queue;          // flat FIFO
+  std::vector<int> entity_edges;
 
   // Per-call demand and routing buffers.
   std::vector<MHz> demands;
@@ -158,18 +171,24 @@ class LoadDistributor {
 
   std::vector<FillEntity> BuildEntities(const PlacementMatrix& p,
                                         DistributorScratch& scratch) const;
-  /// Builds the flow network (capacity template + adjacency) for the
-  /// current entity set into `scratch`; only source edges vary per probe.
+  /// Builds the flow network for the current entity set into `scratch`;
+  /// only source edges vary per probe.
   void PrepareFlowNetwork(const std::vector<FillEntity>& entities,
                           DistributorScratch& scratch) const;
   /// True when demands (per fill entity, MHz) can be routed within node
-  /// capacities and per-instance caps; optionally returns the routing
-  /// (fill-entity-major, nodes wide). PrepareFlowNetwork must have run for
-  /// this entity set.
+  /// capacities and per-instance caps. The verdict is exact; the probe may
+  /// start warm. With `commit`, a feasible probe's flow becomes the start
+  /// of later warm probes. PrepareFlowNetwork must have run for this
+  /// entity set.
+  bool ProbeDemands(const std::vector<MHz>& demands,
+                    DistributorScratch& scratch, bool commit) const;
+  /// Routes demands with a cold max-flow and returns the routing
+  /// (fill-entity-major, nodes wide), whether or not all demand fits;
+  /// returns the exact verdict.
   bool RouteDemands(const std::vector<FillEntity>& entities,
                     const std::vector<MHz>& demands,
                     DistributorScratch& scratch,
-                    std::vector<std::vector<MHz>>* routing) const;
+                    std::vector<std::vector<MHz>>& routing) const;
   /// Equalize local jobs' completion RPFs within one node's batch share.
   /// `local_jobs` holds the snapshot job indices hosted on `node`, in
   /// ascending order.

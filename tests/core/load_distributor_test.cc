@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "exp/experiment1.h"
 #include "tests/core/test_fixtures.h"
 
 namespace mwp {
@@ -277,6 +278,76 @@ TEST(LoadDistributorTest, HypotheticalExposedForAggregateMode) {
   ablation.batch_aggregate = false;
   LoadDistributor without(&snap, ablation);
   EXPECT_EQ(without.hypothetical(), nullptr);
+}
+
+TEST(LoadDistributorTest, WarmProbesStayCheapOnExperimentOneShape) {
+  // Experiment One's shape: 25 paper nodes with three running jobs each and
+  // a deep queue. The candidates are the current placement and, per node,
+  // one queued job swapped in for a running one — what the search scores.
+  SnapshotBuilder b(ClusterSpec::Uniform(25, PaperNode()));
+  Rng rng(1234);
+  for (int j = 0; j < 125; ++j) {
+    const bool running = j < 75;
+    auto& v = b.AddJob(j + 1, 68'640'000.0, 3'900.0, 4'320.0,
+                       rng.Uniform(-40'000.0, 0.0), 2.7,
+                       running ? JobStatus::kRunning : JobStatus::kNotStarted,
+                       running ? static_cast<NodeId>(j / 3) : kInvalidNode,
+                       running ? rng.Uniform(0.0, 60'000'000.0) : 0.0);
+    v.place_overhead = 3.6;
+  }
+  b.cycle = 600.0;
+  const PlacementSnapshot snap = b.Build();
+  std::vector<PlacementMatrix> candidates = {snap.current_placement()};
+  for (int n = 0; n < 25; ++n) {
+    PlacementMatrix p = snap.current_placement();
+    p.at(snap.EntityOfJob(3 * n), n) = 0;
+    p.at(snap.EntityOfJob(75 + 2 * n), n) = 1;
+    candidates.push_back(p);
+  }
+
+  const LoadDistributor dist(&snap);
+  DistributorScratch scratch;
+  for (const PlacementMatrix& p : candidates) dist.Distribute(p, scratch);
+  const DistributorScratch::Stats stats = scratch.stats();
+  ASSERT_EQ(stats.distribute_calls, candidates.size());
+  ASSERT_GT(stats.flow_probes, 0u);
+  const double probes = static_cast<double>(stats.flow_probes);
+  EXPECT_LT(static_cast<double>(stats.augmentations) / probes, 5.0)
+      << stats.augmentations << " augmentations over " << stats.flow_probes
+      << " probes";
+  EXPECT_LT(static_cast<double>(stats.cold_rechecks) / probes, 0.05)
+      << stats.cold_rechecks << " cold re-checks over " << stats.flow_probes
+      << " probes";
+}
+
+TEST(LoadDistributorTest, FinalRoutingIsTheColdMaxFlow) {
+  // Two transactional apps share two 1,000 MHz nodes and need 2,000 MHz
+  // between them. Many routings carry the same totals. The water-fill's
+  // warm probes raise both apps together and spread each over both nodes;
+  // the final routing is a cold max-flow, which gives the lower entity the
+  // lower node first. Taking the routing from the warm flow instead would
+  // move these loads.
+  SnapshotBuilder b(ClusterSpec::Uniform(2, NodeSpec{1, 1'000.0, 4'000.0}));
+  auto add_tx = [&](AppId id, double demand_per_request, MHz saturation,
+                    double rate, std::vector<NodeId> nodes) {
+    TransactionalAppSpec spec = TxSpec(id, saturation, 300.0);
+    spec.demand_per_request = demand_per_request;
+    b.AddTx(spec, rate, std::move(nodes));
+  };
+  add_tx(10, 2.4887185760228023, 1'328.5553937372586, 494.46257320432989,
+         {1});
+  add_tx(11, 3.2841812742585765, 1'260.9218550367011, 90.776332305868323,
+         {0, 1});
+  add_tx(12, 2.0406473878808247, 1'200.7994159823202, 220.84630992372547,
+         {0, 1});
+  b.cycle = 10.0;
+  const PlacementSnapshot snap = b.Build();
+  const auto result =
+      LoadDistributor(&snap).Distribute(snap.current_placement());
+  EXPECT_DOUBLE_EQ(result.loads.at(1, 0), 1'000.0);
+  EXPECT_NEAR(result.loads.at(1, 1), 69.828282029159482, 1e-9);
+  EXPECT_DOUBLE_EQ(result.loads.at(2, 0), 0.0);
+  EXPECT_NEAR(result.loads.at(2, 1), 930.17171797084052, 1e-9);
 }
 
 class LoadDistributorPropertyTest
