@@ -12,9 +12,10 @@
 #include "common/table.h"
 #include "exp/experiment2.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
 
   Experiment2Config base;
   base.num_nodes = static_cast<int>(cli.GetInt("nodes", 8));
@@ -57,3 +58,7 @@ int main(int argc, char** argv) {
             << dist.ToText();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

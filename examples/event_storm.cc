@@ -14,11 +14,18 @@
 //                 [--trace-out storm.jsonl] [--trace-full]
 //                 [--run-id storm-s42]
 //
+// A malformed or out-of-range flag (nodes < 1, jobs < 0, a non-positive
+// interarrival, cycle or horizon, a negative seed) prints a message and
+// exits 2 before anything is built.
+//
 // Event-triggered cycles are tagged trigger="event" in the trace; periodic
 // tick cycles stay untagged, exactly like a periodic-controller recording.
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "batch/arrival_process.h"
 #include "batch/job_factory.h"
@@ -33,15 +40,34 @@
 #include "svc/event_adapters.h"
 #include "web/workload_generator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
-  const int num_jobs = static_cast<int>(cli.GetInt("jobs", 200));
-  const int num_nodes = static_cast<int>(cli.GetInt("nodes", 10));
+  const std::int64_t jobs_flag = cli.GetInt("jobs", 200);
+  const std::int64_t nodes_flag = cli.GetInt("nodes", 10);
   const Seconds interarrival = cli.GetDouble("interarrival", 2.0);
   const Seconds cycle = cli.GetDouble("cycle", 120.0);
   const Seconds horizon = cli.GetDouble("horizon", 4000.0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.GetInt("seed", 42));
+  const std::uint64_t seed = cli.GetSeed(42);
+  // Validate before building anything: a bad value is a usage error, not an
+  // internal check failure deep in the controller.
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  if (nodes_flag < 1 || nodes_flag > kIntMax) {
+    throw FlagError("flag --nodes must be a positive int");
+  }
+  if (jobs_flag < 0 || jobs_flag > kIntMax) {
+    throw FlagError("flag --jobs must be a non-negative int");
+  }
+  for (const auto& [name, value] : {std::pair{"interarrival", interarrival},
+                                    std::pair{"cycle", cycle},
+                                    std::pair{"horizon", horizon}}) {
+    if (value <= 0.0) {
+      throw FlagError(std::string("flag --") + name + " must be positive");
+    }
+  }
+  const int num_jobs = static_cast<int>(jobs_flag);
+  const int num_nodes = static_cast<int>(nodes_flag);
   const std::string trace_out = cli.GetString("trace-out", "");
   const bool trace_full = cli.GetBool("trace-full", false);
   const std::string run_id =
@@ -100,9 +126,10 @@ int main(int argc, char** argv) {
     });
   }
 
-  // A couple of fault/restore episodes mid-storm.
+  // A couple of fault/restore episodes mid-storm, on nodes 1 and 2 (wrapped
+  // onto the cluster when it is smaller than three nodes).
   for (int episode = 0; episode < 2; ++episode) {
-    const NodeId victim = static_cast<NodeId>(episode + 1);
+    const NodeId victim = static_cast<NodeId>((episode + 1) % num_nodes);
     const Seconds down = horizon * (0.25 + 0.35 * episode);
     const Seconds up = down + horizon * 0.1;
     sim.ScheduleAt(down, [&cluster, &service, victim](Simulation& s) {
@@ -159,3 +186,7 @@ int main(int argc, char** argv) {
                "cycles (event cycles are tagged in the trace).\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

@@ -28,9 +28,10 @@
 #include "core/fairness_objective.h"
 #include "exp/experiment1.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   Experiment1Config base;
   base.num_jobs = static_cast<int>(cli.GetInt("jobs", 120));
   base.num_nodes = static_cast<int>(cli.GetInt("nodes", 4));
@@ -103,3 +104,7 @@ int main(int argc, char** argv) {
                "trades the worst case for the best aggregate of logs.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

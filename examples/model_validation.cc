@@ -15,9 +15,10 @@
 #include "web/queuing_model.h"
 #include "web/request_simulator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
 
   RequestSimConfig base;
   base.arrival_rate = cli.GetDouble("rate", 50.0);
@@ -64,3 +65,7 @@ int main(int argc, char** argv) {
                "controller for any request mix.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

@@ -20,9 +20,10 @@
 #include "core/apc_controller.h"
 #include "sim/simulation.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const Seconds horizon = cli.GetDouble("horizon", 5'000.0);
 
   const ClusterSpec cluster =
@@ -102,3 +103,7 @@ int main(int argc, char** argv) {
                "per-stage caps are honoured by the distributor.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

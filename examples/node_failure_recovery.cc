@@ -22,9 +22,10 @@
 #include "obs/cycle_trace.h"
 #include "obs/trace_export.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
 
   Experiment4Config base;
   base.seed = cli.GetSeed(base.seed);
@@ -97,3 +98,7 @@ int main(int argc, char** argv) {
             << summary.ToText();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

@@ -24,9 +24,10 @@
 #include "sim/simulation.h"
 #include "web/work_profiler.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int rounds = static_cast<int>(cli.GetInt("rounds", 8));
   const int per_round = static_cast<int>(cli.GetInt("per-round", 5));
   // One recorder spans all rounds: each round's controller appends its
@@ -118,3 +119,7 @@ int main(int argc, char** argv) {
             << web_table.ToText();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

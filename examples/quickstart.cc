@@ -19,9 +19,10 @@
 #include "sim/simulation.h"
 #include "web/workload_generator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int nodes = static_cast<int>(cli.GetInt("nodes", 4));
   const int num_jobs = static_cast<int>(cli.GetInt("jobs", 6));
   const Seconds horizon = cli.GetDouble("horizon", 4'000.0);
@@ -97,3 +98,7 @@ int main(int argc, char** argv) {
             << outcomes.ToText();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

@@ -19,9 +19,10 @@
 #include "web/queuing_model.h"
 #include "web/workload_generator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int nodes = static_cast<int>(cli.GetInt("nodes", 4));
   const Seconds surge_at = cli.GetDouble("surge-at", 3'000.0);
   const Seconds surge_end = cli.GetDouble("surge-end", 9'000.0);
@@ -97,3 +98,7 @@ int main(int argc, char** argv) {
             << "%\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

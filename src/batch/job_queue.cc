@@ -11,6 +11,7 @@ Job& JobQueue::Submit(std::unique_ptr<Job> job) {
   const auto [it, inserted] = index_.emplace(job->id(), jobs_.size());
   MWP_CHECK_MSG(inserted, "duplicate job id " << job->id());
   jobs_.push_back(std::move(job));
+  live_.push_back(jobs_.back().get());
   return *jobs_.back();
 }
 
@@ -38,28 +39,27 @@ std::vector<const Job*> JobQueue::All() const {
   return out;
 }
 
-std::vector<Job*> JobQueue::Incomplete() {
-  std::vector<Job*> out;
-  for (auto& j : jobs_) {
-    if (!j->completed()) out.push_back(j.get());
-  }
-  return out;
+const std::vector<Job*>& JobQueue::PruneCompleted() {
+  std::erase_if(live_, [](const Job* j) { return j->completed(); });
+  return live_;
 }
+
+std::vector<Job*> JobQueue::Incomplete() { return PruneCompleted(); }
 
 std::vector<Job*> JobQueue::Placed() {
   std::vector<Job*> out;
-  for (auto& j : jobs_) {
-    if (j->placed()) out.push_back(j.get());
+  for (Job* j : PruneCompleted()) {
+    if (j->placed()) out.push_back(j);
   }
   return out;
 }
 
 std::vector<Job*> JobQueue::AwaitingPlacement() {
   std::vector<Job*> out;
-  for (auto& j : jobs_) {
+  for (Job* j : PruneCompleted()) {
     if (j->status() == JobStatus::kNotStarted ||
         j->status() == JobStatus::kSuspended) {
-      out.push_back(j.get());
+      out.push_back(j);
     }
   }
   return out;
@@ -74,9 +74,12 @@ std::vector<const Job*> JobQueue::Completed() const {
 }
 
 std::size_t JobQueue::num_completed() const {
-  return static_cast<std::size_t>(
-      std::count_if(jobs_.begin(), jobs_.end(),
-                    [](const auto& j) { return j->completed(); }));
+  // Every job outside live_ has completed; live_ may still hold jobs that
+  // completed since the last prune.
+  return jobs_.size() -
+         static_cast<std::size_t>(std::count_if(
+             live_.begin(), live_.end(),
+             [](const Job* j) { return !j->completed(); }));
 }
 
 }  // namespace mwp

@@ -1,8 +1,39 @@
 #include "common/cli.h"
 
-#include <stdexcept>
+#include <cmath>
+#include <iostream>
 
 namespace mwp {
+
+double ParseFlagDouble(const std::string& flag, const std::string& text) {
+  std::size_t used = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(text, &used);
+  } catch (const std::exception&) {
+    // Not a number, or out of range: `used` stays 0.
+  }
+  if (used == 0 || used != text.size() || !std::isfinite(value)) {
+    throw FlagError("flag --" + flag + " expects a finite number, got '" +
+                    text + "'");
+  }
+  return value;
+}
+
+std::int64_t ParseFlagInt(const std::string& flag, const std::string& text) {
+  std::size_t used = 0;
+  long long value = 0;
+  try {
+    value = std::stoll(text, &used);
+  } catch (const std::exception&) {
+    // Not a number, or out of range: `used` stays 0.
+  }
+  if (used == 0 || used != text.size()) {
+    throw FlagError("flag --" + flag + " expects an integer, got '" + text +
+                    "'");
+  }
+  return value;
+}
 
 CommandLine::CommandLine(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -12,7 +43,7 @@ CommandLine::CommandLine(int argc, const char* const* argv) {
       continue;
     }
     std::string body = arg.substr(2);
-    if (body.empty()) throw std::invalid_argument("bare '--' is not a flag");
+    if (body.empty()) throw FlagError("bare '--' is not a flag");
     auto eq = body.find('=');
     if (eq != std::string::npos) {
       flags_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -36,25 +67,13 @@ std::string CommandLine::GetString(const std::string& name,
 
 double CommandLine::GetDouble(const std::string& name, double def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
-  }
+  return it == flags_.end() ? def : ParseFlagDouble(name, it->second);
 }
 
 std::int64_t CommandLine::GetInt(const std::string& name,
                                  std::int64_t def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name +
-                                " expects an integer, got '" + it->second + "'");
-  }
+  return it == flags_.end() ? def : ParseFlagInt(name, it->second);
 }
 
 bool CommandLine::GetBool(const std::string& name, bool def) const {
@@ -63,16 +82,15 @@ bool CommandLine::GetBool(const std::string& name, bool def) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  throw std::invalid_argument("flag --" + name + " expects a boolean, got '" +
-                              v + "'");
+  throw FlagError("flag --" + name + " expects a boolean, got '" + v + "'");
 }
 
 std::uint64_t CommandLine::GetSeed(std::uint64_t def) const {
   const std::int64_t value =
       GetInt("seed", static_cast<std::int64_t>(def));
   if (value < 0) {
-    throw std::invalid_argument("flag --seed must be non-negative, got " +
-                                std::to_string(value));
+    throw FlagError("flag --seed must be non-negative, got " +
+                    std::to_string(value));
   }
   return static_cast<std::uint64_t>(value);
 }
@@ -82,6 +100,17 @@ std::vector<std::string> CommandLine::FlagNames() const {
   names.reserve(flags_.size());
   for (const auto& [k, _] : flags_) names.push_back(k);
   return names;
+}
+
+int RunMain(int argc, const char* const* argv,
+            int (*body)(const CommandLine& cli)) {
+  try {
+    const CommandLine cli(argc, argv);
+    return body(cli);
+  } catch (const FlagError& e) {
+    std::cerr << (argc > 0 ? argv[0] : "") << ": " << e.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace mwp

@@ -25,12 +25,14 @@
 // offline tuning on production traces. Overridden replays are what-if
 // experiments: divergence from the recorded decisions is reported per cycle
 // but never fails the exit status.
-#include <cstring>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
+#include "common/cli.h"
 #include "replay/replay.h"
 #include "replay/trace_reader.h"
 
@@ -45,6 +47,26 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+// Strict flag values: the whole text must parse, and none of this tool's
+// numeric flags takes a negative value. Throws mwp::FlagError.
+double NonNegativeDouble(const char* flag, const char* text) {
+  const double value = mwp::ParseFlagDouble(flag, text);
+  if (value < 0.0) {
+    throw mwp::FlagError(std::string("flag --") + flag +
+                         " must be non-negative, got '" + text + "'");
+  }
+  return value;
+}
+
+int NonNegativeInt(const char* flag, const char* text) {
+  const std::int64_t value = mwp::ParseFlagInt(flag, text);
+  if (value < 0 || value > std::numeric_limits<int>::max()) {
+    throw mwp::FlagError(std::string("flag --") + flag +
+                         " must be a non-negative int, got '" + text + "'");
+  }
+  return static_cast<int>(value);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -54,56 +76,62 @@ int main(int argc, char** argv) {
   bool verbose = false;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " requires a value\n";
-        return nullptr;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&](const char* flag) -> const char* {
+        if (i + 1 >= argc) {
+          std::cerr << flag << " requires a value\n";
+          return nullptr;
+        }
+        return argv[++i];
+      };
+      if (arg == "--trace") {
+        const char* v = next("--trace");
+        if (v == nullptr) return Usage(argv[0]);
+        trace_path = v;
+      } else if (arg == "--report") {
+        const char* v = next("--report");
+        if (v == nullptr) return Usage(argv[0]);
+        report_path = v;
+      } else if (arg == "--tolerance") {
+        const char* v = next("--tolerance");
+        if (v == nullptr) return Usage(argv[0]);
+        options.rp_tolerance = NonNegativeDouble("tolerance", v);
+      } else if (arg == "--threads") {
+        const char* v = next("--threads");
+        if (v == nullptr) return Usage(argv[0]);
+        options.search_threads = NonNegativeInt("threads", v);
+      } else if (arg == "--override-tie-tolerance") {
+        const char* v = next("--override-tie-tolerance");
+        if (v == nullptr) return Usage(argv[0]);
+        options.override_tie_tolerance =
+            NonNegativeDouble("override-tie-tolerance", v);
+      } else if (arg == "--override-sweeps") {
+        const char* v = next("--override-sweeps");
+        if (v == nullptr) return Usage(argv[0]);
+        options.override_sweeps = NonNegativeInt("override-sweeps", v);
+      } else if (arg == "--override-cell-size") {
+        const char* v = next("--override-cell-size");
+        if (v == nullptr) return Usage(argv[0]);
+        options.override_cell_size = NonNegativeInt("override-cell-size", v);
+      } else if (arg == "--diff") {
+        // Diffing is the tool's only mode; accepted for CLI-contract clarity.
+      } else if (arg == "--verbose") {
+        verbose = true;
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (arg == "--help" || arg == "-h") {
+        Usage(argv[0]);
+        return 0;
+      } else {
+        std::cerr << "unknown argument '" << arg << "'\n";
+        return Usage(argv[0]);
       }
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      const char* v = next("--trace");
-      if (v == nullptr) return Usage(argv[0]);
-      trace_path = v;
-    } else if (arg == "--report") {
-      const char* v = next("--report");
-      if (v == nullptr) return Usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--tolerance") {
-      const char* v = next("--tolerance");
-      if (v == nullptr) return Usage(argv[0]);
-      options.rp_tolerance = std::strtod(v, nullptr);
-    } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      if (v == nullptr) return Usage(argv[0]);
-      options.search_threads = std::atoi(v);
-    } else if (arg == "--override-tie-tolerance") {
-      const char* v = next("--override-tie-tolerance");
-      if (v == nullptr) return Usage(argv[0]);
-      options.override_tie_tolerance = std::strtod(v, nullptr);
-    } else if (arg == "--override-sweeps") {
-      const char* v = next("--override-sweeps");
-      if (v == nullptr) return Usage(argv[0]);
-      options.override_sweeps = std::atoi(v);
-    } else if (arg == "--override-cell-size") {
-      const char* v = next("--override-cell-size");
-      if (v == nullptr) return Usage(argv[0]);
-      options.override_cell_size = std::atoi(v);
-    } else if (arg == "--diff") {
-      // Diffing is the tool's only mode; accepted for CLI-contract clarity.
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::cerr << "unknown argument '" << arg << "'\n";
-      return Usage(argv[0]);
     }
+  } catch (const mwp::FlagError& e) {
+    std::cerr << e.what() << '\n';
+    return Usage(argv[0]);
   }
   if (trace_path.empty()) {
     std::cerr << "--trace is required\n";

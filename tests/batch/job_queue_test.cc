@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
+#include "common/rng.h"
+
 namespace mwp {
 namespace {
 
@@ -101,6 +107,163 @@ TEST(JobQueueTest, ConstFind) {
   const JobQueue& cq = q;
   EXPECT_NE(cq.Find(5), nullptr);
   EXPECT_EQ(cq.Find(6), nullptr);
+}
+
+// --- live-list views vs. a reference filter over All() ---------------------
+
+// The views read a pruned list of live jobs, not the whole history; these
+// reference filters over All() are what they must equal, job for job and in
+// the same order.
+std::vector<Job*> Filter(JobQueue& q, const std::function<bool(Job*)>& keep) {
+  std::vector<Job*> out;
+  for (Job* j : q.All()) {
+    if (keep(j)) out.push_back(j);
+  }
+  return out;
+}
+
+void ExpectViewsMatchReference(JobQueue& q, const std::string& where) {
+  SCOPED_TRACE(where);
+  const std::size_t ref_completed =
+      Filter(q, [](Job* j) { return j->completed(); }).size();
+  // num_completed() first, so it also runs before the views prune jobs that
+  // completed since the last view call.
+  EXPECT_EQ(q.num_completed(), ref_completed);
+  EXPECT_EQ(q.Incomplete(), Filter(q, [](Job* j) { return !j->completed(); }));
+  EXPECT_EQ(q.Placed(), Filter(q, [](Job* j) { return j->placed(); }));
+  EXPECT_EQ(q.AwaitingPlacement(), Filter(q, [](Job* j) {
+              return j->status() == JobStatus::kNotStarted ||
+                     j->status() == JobStatus::kSuspended;
+            }));
+  EXPECT_EQ(q.num_completed(), ref_completed);
+  EXPECT_EQ(q.Completed().size(), ref_completed);
+}
+
+TEST(JobQueueViewsPropertyTest, ViewsEqualReferenceFilterOverRandomHistories) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    JobQueue q;
+    AppId next_id = 1;
+    Seconds now = 0.0;
+    for (int step = 0; step < 120; ++step) {
+      const std::vector<Job*> all = q.All();
+      Job* pick = all.empty() ? nullptr
+                              : all[static_cast<std::size_t>(rng.UniformInt(
+                                    0, static_cast<std::int64_t>(all.size()) -
+                                           1))];
+      const std::int64_t op = all.empty() ? 0 : rng.UniformInt(0, 7);
+      const bool placed = pick != nullptr && pick->placed();
+      const bool completed = pick != nullptr && pick->completed();
+      switch (op) {
+        case 0:  // Submit: 0.5 s to 5 s of work at full speed.
+          q.Submit(std::make_unique<Job>(
+              next_id, "job-" + std::to_string(next_id),
+              JobProfile::SingleStage(rng.Uniform(500.0, 5'000.0), 1'000.0,
+                                      100.0),
+              JobGoal::FromFactor(now, 3.0, 5.0)));
+          ++next_id;
+          break;
+        case 1:  // Place (boot overhead sometimes) — never a completed job.
+          if (!placed && !completed) {
+            pick->Place(static_cast<NodeId>(rng.UniformInt(0, 3)), now,
+                        rng.Uniform01() < 0.5 ? 0.0 : rng.Uniform(0.0, 1.0));
+          }
+          break;
+        case 2:  // SetAllocation, including 0 (pauses the job).
+          if (placed) {
+            pick->SetAllocation(rng.Uniform01() < 0.2
+                                    ? 0.0
+                                    : rng.Uniform(100.0, 1'500.0));
+          }
+          break;
+        case 3:
+          if (placed) pick->Pause(now);
+          break;
+        case 4:
+          if (placed) pick->Suspend(now);
+          break;
+        case 5:
+          if (placed) pick->Crash(now);
+          break;
+        case 6:  // One job runs, often long enough to complete.
+          if (placed) pick->AdvanceTo(now, now + rng.Uniform(0.0, 6.0));
+          break;
+        default: {  // The clock advances every placed job at once.
+          const Seconds to = now + rng.Uniform(0.0, 3.0);
+          for (Job* j : all) {
+            if (j->placed()) j->AdvanceTo(now, to);
+          }
+          now = to;
+          break;
+        }
+      }
+      ExpectViewsMatchReference(q, "step " + std::to_string(step) + " op " +
+                                       std::to_string(op));
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// Runs a placed job at full speed until it completes.
+void RunToCompletion(Job& job) {
+  job.SetAllocation(1'000.0);
+  ASSERT_TRUE(job.AdvanceTo(0.0, 10.0));
+  ASSERT_TRUE(job.completed());
+}
+
+TEST(JobQueueViewsPropertyTest, MiddleJobCompletesWhileLaterOnesStayLive) {
+  JobQueue q;
+  Job& first = q.Submit(MakeJob(1));
+  Job& middle = q.Submit(MakeJob(2));
+  Job& third = q.Submit(MakeJob(3));
+  Job& fourth = q.Submit(MakeJob(4));
+  first.Place(0, 0.0, 0.0);
+  first.SetAllocation(500.0);
+  middle.Place(1, 0.0, 0.0);
+  third.Place(2, 0.0, 0.0);
+  third.SetAllocation(500.0);
+  ExpectViewsMatchReference(q, "before completion");
+
+  RunToCompletion(middle);
+  EXPECT_EQ(q.num_completed(), 1u);  // counted before any view prunes it
+  EXPECT_EQ(q.Incomplete(), (std::vector<Job*>{&first, &third, &fourth}));
+  EXPECT_EQ(q.Placed(), (std::vector<Job*>{&first, &third}));
+  EXPECT_EQ(q.AwaitingPlacement(), (std::vector<Job*>{&fourth}));
+  ExpectViewsMatchReference(q, "after middle completes");
+
+  // A later job keeps moving through states after the prune.
+  third.Suspend(1.0);
+  EXPECT_EQ(q.AwaitingPlacement(), (std::vector<Job*>{&third, &fourth}));
+  ExpectViewsMatchReference(q, "after later suspend");
+}
+
+TEST(JobQueueViewsPropertyTest, CompletedJobNeverReappearsInAView) {
+  JobQueue q;
+  Job& done = q.Submit(MakeJob(1));
+  Job& other = q.Submit(MakeJob(2));
+  done.Place(0, 0.0, 0.0);
+  RunToCompletion(done);
+  const auto contains = [&](const std::vector<Job*>& view) {
+    return std::find(view.begin(), view.end(), &done) != view.end();
+  };
+  for (int round = 0; round < 3; ++round) {
+    q.Submit(MakeJob(10 + round));
+    // Completion is terminal: the job cannot be placed again.
+    EXPECT_THROW(done.Place(0, 1.0, 0.0), std::logic_error);
+    EXPECT_THROW(done.SetAllocation(100.0), std::logic_error);
+    EXPECT_FALSE(contains(q.Incomplete()));
+    EXPECT_FALSE(contains(q.Placed()));
+    EXPECT_FALSE(contains(q.AwaitingPlacement()));
+    EXPECT_EQ(q.num_completed(), 1u);
+    ExpectViewsMatchReference(q, "round " + std::to_string(round));
+  }
+  // All(), Completed() and Find() still see it.
+  EXPECT_EQ(q.All().front(), &done);
+  ASSERT_EQ(q.Completed().size(), 1u);
+  EXPECT_EQ(q.Completed().front(), &done);
+  EXPECT_EQ(q.Find(1), &done);
+  EXPECT_EQ(q.Incomplete().front(), &other);
 }
 
 }  // namespace
