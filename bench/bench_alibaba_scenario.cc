@@ -28,20 +28,21 @@
 #include "obs/trace_export.h"
 #include "workload/scenario.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
   using workload::ScenarioMode;
-  const CommandLine cli(argc, argv);
 
-  const int nodes = static_cast<int>(cli.GetInt("nodes", 100));
+  const int nodes = cli.GetIntAtLeast("nodes", 100, 1);
   workload::ScenarioSpec spec =
       workload::AlibabaScenarioSpec(nodes, cli.GetSeed(42));
-  spec.duration = cli.GetDouble("duration", spec.duration);
-  spec.control_cycle = cli.GetDouble("cycle", spec.control_cycle);
-  spec.max_jobs = static_cast<int>(cli.GetInt("max-jobs", spec.max_jobs));
+  spec.duration = cli.GetPositive("duration", spec.duration);
+  spec.control_cycle = cli.GetPositive("cycle", spec.control_cycle);
+  spec.max_jobs = cli.GetIntAtLeast("max-jobs", spec.max_jobs, 0);
   spec.shard_cell_size =
-      static_cast<int>(cli.GetInt("shard-cell-size", nodes >= 50 ? 25 : 0));
-  spec.search_threads = static_cast<int>(cli.GetInt("search-threads", 0));
+      cli.GetIntAtLeast("shard-cell-size", nodes >= 50 ? 25 : 0, 0);
+  spec.search_threads = cli.GetIntAtLeast("search-threads", 0, 0);
 
   const std::string mode_name = cli.GetString("mode", "all");
   std::vector<ScenarioMode> modes;
@@ -162,3 +163,7 @@ int main(int argc, char** argv) {
                "times.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

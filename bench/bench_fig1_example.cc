@@ -10,10 +10,11 @@
 #include "common/table.h"
 #include "exp/example_4_3.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
-  const int cycles = static_cast<int>(cli.GetInt("cycles", 10));
+  const int cycles = cli.GetIntAtLeast("cycles", 10, 0);
   const bool csv = cli.GetBool("csv", false);
 
   std::cout << "=== Table 1: system properties ===\n";
@@ -59,3 +60,7 @@ int main(int argc, char** argv) {
                "at RP ~0.65 (Figure 1).\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

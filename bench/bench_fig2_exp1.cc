@@ -29,16 +29,17 @@
 #include "obs/cycle_trace.h"
 #include "obs/trace_export.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   Experiment1Config cfg;
-  cfg.num_jobs = static_cast<int>(cli.GetInt("jobs", 800));
-  cfg.num_nodes = static_cast<int>(cli.GetInt("nodes", 25));
-  cfg.mean_interarrival = cli.GetDouble("interarrival", 260.0);
-  cfg.control_cycle = cli.GetDouble("cycle", 600.0);
-  cfg.seed = static_cast<std::uint64_t>(cli.GetInt("seed", 42));
-  cfg.shard_cell_size = static_cast<int>(cli.GetInt("shard-cell-size", 0));
+  cfg.num_jobs = cli.GetIntAtLeast("jobs", 800, 1);
+  cfg.num_nodes = cli.GetIntAtLeast("nodes", 25, 1);
+  cfg.mean_interarrival = cli.GetPositive("interarrival", 260.0);
+  cfg.control_cycle = cli.GetPositive("cycle", 600.0);
+  cfg.seed = cli.GetSeed(42);
+  cfg.shard_cell_size = cli.GetIntAtLeast("shard-cell-size", 0, 0);
   const std::string objective_name = cli.GetString("objective", "maxmin");
   if (const auto kind = ParseFairnessObjective(objective_name)) {
     cfg.objective.kind = *kind;
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool csv = cli.GetBool("csv", false);
-  const Seconds bucket = cli.GetDouble("bucket", 10'000.0);
+  const Seconds bucket = cli.GetPositive("bucket", 10'000.0);
   const std::string trace_out = cli.GetString("trace-out", "");
   // --trace-full embeds the optimizer input/decision in every cycle record
   // so the export can be re-run through replay_apc.
@@ -127,3 +128,7 @@ int main(int argc, char** argv) {
                "same shape shifted right by ~18,000 s.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

@@ -6,7 +6,6 @@
 //   ./bench_fig4_placement_changes [--jobs 800] [--interarrivals ...]
 //                                  [--trace-out exp2.jsonl] [--trace-full]
 #include <iostream>
-#include <sstream>
 
 #include "common/cli.h"
 #include "common/table.h"
@@ -16,23 +15,11 @@
 
 namespace {
 
-std::vector<double> ParseList(const std::string& csv_list) {
-  std::vector<double> out;
-  std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
-  const int jobs = static_cast<int>(cli.GetInt("jobs", 800));
-  const auto interarrivals = ParseList(
-      cli.GetString("interarrivals", "400,350,300,250,200,150,100,50"));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.GetInt("seed", 7));
+  const int jobs = cli.GetIntAtLeast("jobs", 800, 1);
+  const auto interarrivals = cli.GetPositiveList("interarrivals", "400,350,300,250,200,150,100,50");
+  const std::uint64_t seed = cli.GetSeed(7);
   const bool csv = cli.GetBool("csv", false);
   // One recorder spans the whole sweep: the APC runs' cycle traces are
   // concatenated in sweep order (each run restarts its cycle counter and is
@@ -88,3 +75,7 @@ int main(int argc, char** argv) {
                "APC makes many fewer changes than EDF.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

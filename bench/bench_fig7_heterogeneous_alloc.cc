@@ -14,15 +14,16 @@
 #include "obs/cycle_trace.h"
 #include "obs/trace_export.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   Experiment3Config base;
-  base.duration = cli.GetDouble("duration", 65'000.0);
-  base.burst_interarrival = cli.GetDouble("burst-interarrival", 180.0);
+  base.duration = cli.GetPositive("duration", 65'000.0);
+  base.burst_interarrival = cli.GetPositive("burst-interarrival", 180.0);
   base.ease_time = cli.GetDouble("ease-time", 42'000.0);
-  base.seed = static_cast<std::uint64_t>(cli.GetInt("seed", 11));
-  const Seconds bucket = cli.GetDouble("bucket", 5'000.0);
+  base.seed = cli.GetSeed(11);
+  const Seconds bucket = cli.GetPositive("bucket", 5'000.0);
   const bool csv = cli.GetBool("csv", false);
   // Per-cycle traces come from the dynamic-APC run (the static partitions
   // run no control loop).
@@ -81,3 +82,7 @@ int main(int argc, char** argv) {
                "constant (TX capped at\nits partition's capacity).\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }

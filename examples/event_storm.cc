@@ -22,7 +22,6 @@
 // tick cycles stay untagged, exactly like a periodic-controller recording.
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -44,30 +43,14 @@ namespace {
 
 int Run(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const std::int64_t jobs_flag = cli.GetInt("jobs", 200);
-  const std::int64_t nodes_flag = cli.GetInt("nodes", 10);
-  const Seconds interarrival = cli.GetDouble("interarrival", 2.0);
-  const Seconds cycle = cli.GetDouble("cycle", 120.0);
-  const Seconds horizon = cli.GetDouble("horizon", 4000.0);
+  // Range-checked before anything is built: a bad value is a usage error,
+  // not an internal check failure deep in the controller.
+  const int num_jobs = cli.GetIntAtLeast("jobs", 200, 0);
+  const int num_nodes = cli.GetIntAtLeast("nodes", 10, 1);
+  const Seconds interarrival = cli.GetPositive("interarrival", 2.0);
+  const Seconds cycle = cli.GetPositive("cycle", 120.0);
+  const Seconds horizon = cli.GetPositive("horizon", 4000.0);
   const std::uint64_t seed = cli.GetSeed(42);
-  // Validate before building anything: a bad value is a usage error, not an
-  // internal check failure deep in the controller.
-  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-  if (nodes_flag < 1 || nodes_flag > kIntMax) {
-    throw FlagError("flag --nodes must be a positive int");
-  }
-  if (jobs_flag < 0 || jobs_flag > kIntMax) {
-    throw FlagError("flag --jobs must be a non-negative int");
-  }
-  for (const auto& [name, value] : {std::pair{"interarrival", interarrival},
-                                    std::pair{"cycle", cycle},
-                                    std::pair{"horizon", horizon}}) {
-    if (value <= 0.0) {
-      throw FlagError(std::string("flag --") + name + " must be positive");
-    }
-  }
-  const int num_jobs = static_cast<int>(jobs_flag);
-  const int num_nodes = static_cast<int>(nodes_flag);
   const std::string trace_out = cli.GetString("trace-out", "");
   const bool trace_full = cli.GetBool("trace-full", false);
   const std::string run_id =

@@ -1,7 +1,9 @@
 #include "common/cli.h"
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
 
 namespace mwp {
 
@@ -83,6 +85,42 @@ bool CommandLine::GetBool(const std::string& name, bool def) const {
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
   throw FlagError("flag --" + name + " expects a boolean, got '" + v + "'");
+}
+
+int CommandLine::GetIntAtLeast(const std::string& name, int def,
+                               int min) const {
+  const std::int64_t value = GetInt(name, def);
+  if (value < min || value > std::numeric_limits<int>::max()) {
+    throw FlagError("flag --" + name + " must be an int >= " +
+                    std::to_string(min) + ", got " + std::to_string(value));
+  }
+  return static_cast<int>(value);
+}
+
+double CommandLine::GetPositive(const std::string& name, double def) const {
+  const double value = GetDouble(name, def);
+  if (value <= 0.0) {
+    throw FlagError("flag --" + name + " must be positive, got " +
+                    GetString(name, ""));
+  }
+  return value;
+}
+
+std::vector<double> CommandLine::GetPositiveList(const std::string& name,
+                                                 const std::string& def) const {
+  const std::string list = GetString(name, def);
+  std::vector<double> out;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = std::min(list.find(',', begin), list.size());
+    out.push_back(ParseFlagDouble(name, list.substr(begin, comma - begin)));
+    if (comma == list.size()) break;
+    begin = comma + 1;
+  }
+  if (std::ranges::any_of(out, [](double v) { return v <= 0.0; })) {
+    throw FlagError("flag --" + name + " items must be positive, got '" +
+                    list + "'");
+  }
+  return out;
 }
 
 std::uint64_t CommandLine::GetSeed(std::uint64_t def) const {

@@ -40,6 +40,17 @@ class CommandLine {
   std::int64_t GetInt(const std::string& name, std::int64_t def) const;
   bool GetBool(const std::string& name, bool def) const;
 
+  /// GetInt for a count or size that must lie in [min, INT_MAX], so a value
+  /// never truncates through a cast. Throws FlagError outside that range.
+  int GetIntAtLeast(const std::string& name, int def, int min) const;
+  /// GetDouble for a period, rate or duration; throws FlagError unless the
+  /// value is positive.
+  double GetPositive(const std::string& name, double def) const;
+  /// A comma-separated list of positive numbers ("400,350,300"); throws
+  /// FlagError on an empty, malformed or non-positive item.
+  std::vector<double> GetPositiveList(const std::string& name,
+                                      const std::string& def) const;
+
   /// The conventional `--seed` flag (RNG/fault-plan reproducibility). A
   /// non-negative integer; throws on negative or malformed values so a bad
   /// seed never silently falls back to the default.

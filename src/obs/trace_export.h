@@ -18,14 +18,14 @@
 //     is spelled "nan". CSV never carries input/decision — replay requires
 //     the JSONL form.
 //
-// v1 differs only in lacking run_id and input/decision; readers
-// (src/replay/trace_reader and tools/trace/validate_trace.py) accept both.
+// v1 differs only in lacking run_id and input/decision; the reader
+// (src/replay/trace_reader) accepts both.
 //
 // Doubles are serialized with std::to_chars shortest round-trip formatting,
 // so re-parsing an export reproduces the recorded values bit-for-bit and
 // golden files are stable across hosts. Any field addition, removal or
 // reorder MUST bump kTraceSchemaVersion; the golden-file tests exist to make
-// an unversioned change fail loudly. tools/trace/validate_trace.py checks
+// an unversioned change fail loudly. `replay_apc --validate` checks
 // emitted JSONL against this schema in CI.
 #pragma once
 

@@ -4,7 +4,14 @@
 //   replay_apc --trace TRACE.jsonl [--diff] [--tolerance 1e-9]
 //              [--threads N] [--report FILE] [--verbose] [--quiet]
 //              [--override-tie-tolerance EPS] [--override-sweeps N]
-//              [--override-cell-size N]
+//              [--override-cell-size N] [--min-cycles N]
+//   replay_apc --validate --trace TRACE.jsonl [--min-cycles N]
+//
+// --validate checks the trace against the schema (replay/trace_reader.h:
+// per-record key sets and types, then ValidateTrace's cross-record checks,
+// including at least --min-cycles cycles, default 1) without replaying. It
+// prints "OK (N cycle records, schema vV)" and exits 0, or prints a
+// line-numbered error and exits 1. Replay mode runs the same checks first.
 //
 // Reads a CycleTrace JSONL export (schema v2 recorded with --trace-full),
 // reconstructs every cycle's optimizer input, re-runs the placement solver
@@ -43,7 +50,9 @@ int Usage(const char* argv0) {
             << " --trace TRACE.jsonl [--diff] [--tolerance EPS]"
                " [--threads N] [--report FILE] [--verbose] [--quiet]"
                " [--override-tie-tolerance EPS] [--override-sweeps N]"
-               " [--override-cell-size N]\n";
+               " [--override-cell-size N] [--min-cycles N]\n"
+            << "       " << argv0
+            << " --validate --trace TRACE.jsonl [--min-cycles N]\n";
   return 2;
 }
 
@@ -75,6 +84,8 @@ int main(int argc, char** argv) {
   mwp::replay::ReplayOptions options;
   bool verbose = false;
   bool quiet = false;
+  bool validate_only = false;
+  int min_cycles = 1;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -115,6 +126,12 @@ int main(int argc, char** argv) {
         const char* v = next("--override-cell-size");
         if (v == nullptr) return Usage(argv[0]);
         options.override_cell_size = NonNegativeInt("override-cell-size", v);
+      } else if (arg == "--min-cycles") {
+        const char* v = next("--min-cycles");
+        if (v == nullptr) return Usage(argv[0]);
+        min_cycles = NonNegativeInt("min-cycles", v);
+      } else if (arg == "--validate") {
+        validate_only = true;
       } else if (arg == "--diff") {
         // Diffing is the tool's only mode; accepted for CLI-contract clarity.
       } else if (arg == "--verbose") {
@@ -140,9 +157,15 @@ int main(int argc, char** argv) {
 
   std::string error;
   const auto trace = mwp::replay::ParseTraceFile(trace_path, &error);
-  if (!trace.has_value()) {
+  if (trace.has_value()) error = mwp::replay::ValidateTrace(*trace, min_cycles);
+  if (!trace.has_value() || !error.empty()) {
     std::cerr << trace_path << ": " << error << "\n";
     return 1;
+  }
+  if (validate_only) {
+    std::cout << trace_path << ": OK (" << trace->cycles.size()
+              << " cycle records, schema v" << trace->schema_version << ")\n";
+    return 0;
   }
 
   const mwp::replay::ReplayReport report =

@@ -1,9 +1,11 @@
 #include "replay/trace_reader.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstddef>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -21,6 +23,11 @@ struct JsonValue {
   std::string string_value;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> members;
+  /// Set when the reader consumes this value as an object member. Every key
+  /// the schema defines is read through Get, which takes the first of
+  /// repeated keys, so a member still unread after its record is mapped is
+  /// an unknown or a duplicate key.
+  mutable bool read = false;
 
   const JsonValue* Find(std::string_view key) const {
     for (const auto& [k, v] : members) {
@@ -240,6 +247,7 @@ struct Ctx {
   }
 };
 
+/// Consumes `obj[key]`; a missing key is an error.
 const JsonValue* Get(Ctx& ctx, const JsonValue& obj, const char* key) {
   if (!ctx.ok) return nullptr;
   if (obj.kind != JsonValue::Kind::kObject) {
@@ -247,18 +255,30 @@ const JsonValue* Get(Ctx& ctx, const JsonValue& obj, const char* key) {
     return nullptr;
   }
   const JsonValue* value = obj.Find(key);
-  if (value == nullptr) ctx.Fail(std::string("missing key '") + key + "'");
+  if (value == nullptr) {
+    ctx.Fail(std::string("missing key '") + key + "'");
+    return nullptr;
+  }
+  value->read = true;
   return value;
 }
 
-double GetDouble(Ctx& ctx, const JsonValue& obj, const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
+/// Whether an optional key is present, without consuming it. Optional keys
+/// come in all-or-nothing groups led by one key: when the leader is present
+/// the whole group is read through Get (so a missing member is an error);
+/// when it is absent none is read (so a stray member is an unknown key).
+bool Has(const JsonValue& obj, const char* key) {
+  return obj.kind == JsonValue::Kind::kObject && obj.Find(key) != nullptr;
+}
+
+/// A number (JSON null reads as NaN, the exporter's spelling of it).
+double AsDouble(Ctx& ctx, const JsonValue* value, const char* key) {
   if (value == nullptr) return 0.0;
   if (value->kind == JsonValue::Kind::kNull) {
     return std::numeric_limits<double>::quiet_NaN();
   }
   if (value->kind != JsonValue::Kind::kNumber) {
-    ctx.Fail(std::string("key '") + key + "' is not a number");
+    ctx.Fail(std::string("key '") + key + "' holds a non-number");
     return 0.0;
   }
   double out = 0.0;
@@ -267,23 +287,29 @@ double GetDouble(Ctx& ctx, const JsonValue& obj, const char* key) {
   return out;
 }
 
+/// An integer that fits `Int`: "1.5", "1e2" and out-of-range values are
+/// errors, never truncated.
+template <typename Int>
+Int AsInt(Ctx& ctx, const JsonValue* value, const char* key) {
+  if (value == nullptr) return Int{0};
+  if (value->kind == JsonValue::Kind::kNumber) {
+    Int out{0};
+    const char* begin = value->number.data();
+    const char* end = begin + value->number.size();
+    const auto [ptr, ec] = std::from_chars(begin, end, out);
+    if (ec == std::errc() && ptr == end) return out;
+  }
+  ctx.Fail(std::string("key '") + key + "' is not an in-range integer");
+  return Int{0};
+}
+
+double GetDouble(Ctx& ctx, const JsonValue& obj, const char* key) {
+  return AsDouble(ctx, Get(ctx, obj, key), key);
+}
+
 template <typename Int>
 Int GetInt(Ctx& ctx, const JsonValue& obj, const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
-  if (value == nullptr) return Int{0};
-  if (value->kind != JsonValue::Kind::kNumber) {
-    ctx.Fail(std::string("key '") + key + "' is not a number");
-    return Int{0};
-  }
-  Int out{0};
-  const char* begin = value->number.data();
-  const char* end = begin + value->number.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc() || ptr != end) {
-    ctx.Fail(std::string("key '") + key + "' is not an integer");
-    return Int{0};
-  }
-  return out;
+  return AsInt<Int>(ctx, Get(ctx, obj, key), key);
 }
 
 bool GetBool(Ctx& ctx, const JsonValue& obj, const char* key) {
@@ -296,28 +322,6 @@ bool GetBool(Ctx& ctx, const JsonValue& obj, const char* key) {
   return value->bool_value;
 }
 
-// Optional-key variants. Sharded-optimizer fields are emitted only when
-// sharding was active (keeping pre-sharding traces byte-identical), so a
-// missing key means "monolithic recording", not a malformed trace.
-template <typename Int>
-Int GetIntOr(Ctx& ctx, const JsonValue& obj, const char* key, Int fallback) {
-  if (ctx.ok && obj.kind == JsonValue::Kind::kObject &&
-      obj.Find(key) == nullptr) {
-    return fallback;
-  }
-  return GetInt<Int>(ctx, obj, key);
-}
-
-/// GetDouble for a key that may legitimately be absent (see GetIntOr).
-double GetDoubleOr(Ctx& ctx, const JsonValue& obj, const char* key,
-                   double fallback) {
-  if (ctx.ok && obj.kind == JsonValue::Kind::kObject &&
-      obj.Find(key) == nullptr) {
-    return fallback;
-  }
-  return GetDouble(ctx, obj, key);
-}
-
 std::string GetString(Ctx& ctx, const JsonValue& obj, const char* key) {
   const JsonValue* value = Get(ctx, obj, key);
   if (value == nullptr) return {};
@@ -328,61 +332,39 @@ std::string GetString(Ctx& ctx, const JsonValue& obj, const char* key) {
   return value->string_value;
 }
 
-double ElementAsDouble(Ctx& ctx, const JsonValue& element, const char* key) {
-  if (element.kind == JsonValue::Kind::kNull) {
-    return std::numeric_limits<double>::quiet_NaN();
+std::span<const JsonValue> GetArray(Ctx& ctx, const JsonValue& obj,
+                                    const char* key) {
+  const JsonValue* value = Get(ctx, obj, key);
+  if (value == nullptr) return {};
+  if (value->kind != JsonValue::Kind::kArray) {
+    ctx.Fail(std::string("key '") + key + "' is not an array");
+    return {};
   }
-  if (element.kind != JsonValue::Kind::kNumber) {
-    ctx.Fail(std::string("array '") + key + "' holds a non-number");
-    return 0.0;
-  }
-  double out = 0.0;
-  const char* begin = element.number.data();
-  std::from_chars(begin, begin + element.number.size(), out);
-  return out;
+  return value->array;
 }
 
 std::vector<double> GetDoubleArray(Ctx& ctx, const JsonValue& obj,
                                    const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
   std::vector<double> out;
-  if (value == nullptr) return out;
-  if (value->kind != JsonValue::Kind::kArray) {
-    ctx.Fail(std::string("key '") + key + "' is not an array");
-    return out;
-  }
-  out.reserve(value->array.size());
-  for (const JsonValue& element : value->array) {
-    out.push_back(ElementAsDouble(ctx, element, key));
+  for (const JsonValue& element : GetArray(ctx, obj, key)) {
+    out.push_back(AsDouble(ctx, &element, key));
   }
   return out;
-}
-
-/// GetDoubleArray for a key that may legitimately be absent (see GetIntOr).
-std::vector<double> GetDoubleArrayOr(Ctx& ctx, const JsonValue& obj,
-                                     const char* key) {
-  if (ctx.ok && obj.kind == JsonValue::Kind::kObject &&
-      obj.Find(key) == nullptr) {
-    return {};
-  }
-  return GetDoubleArray(ctx, obj, key);
 }
 
 std::vector<NodeId> GetNodeArray(Ctx& ctx, const JsonValue& obj,
                                  const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
   std::vector<NodeId> out;
-  if (value == nullptr) return out;
-  if (value->kind != JsonValue::Kind::kArray) {
-    ctx.Fail(std::string("key '") + key + "' is not an array");
-    return out;
-  }
-  out.reserve(value->array.size());
-  for (const JsonValue& element : value->array) {
-    out.push_back(
-        static_cast<NodeId>(ElementAsDouble(ctx, element, key)));
+  for (const JsonValue& element : GetArray(ctx, obj, key)) {
+    out.push_back(AsInt<NodeId>(ctx, &element, key));
   }
   return out;
+}
+
+/// Whether `value` is an array of exactly `size` elements (a placement cell
+/// or a separation pair).
+bool IsTuple(const JsonValue& value, std::size_t size) {
+  return value.kind == JsonValue::Kind::kArray && value.array.size() == size;
 }
 
 obs::CycleInputRecord ReadInput(Ctx& ctx, const JsonValue& obj) {
@@ -390,139 +372,120 @@ obs::CycleInputRecord ReadInput(Ctx& ctx, const JsonValue& obj) {
   in.now = GetDouble(ctx, obj, "now");
   in.control_cycle = GetDouble(ctx, obj, "control_cycle");
 
-  if (const JsonValue* nodes = Get(ctx, obj, "nodes");
-      nodes != nullptr && nodes->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& n : nodes->array) {
-      obs::TraceNodeInput node;
-      node.num_cpus = GetInt<int>(ctx, n, "cpus");
-      node.cpu_speed = GetDouble(ctx, n, "speed");
-      node.memory = GetDouble(ctx, n, "memory");
-      node.state = GetInt<int>(ctx, n, "state");
-      node.speed_factor = GetDouble(ctx, n, "speed_factor");
-      in.nodes.push_back(node);
-    }
+  for (const JsonValue& n : GetArray(ctx, obj, "nodes")) {
+    obs::TraceNodeInput node;
+    node.num_cpus = GetInt<int>(ctx, n, "cpus");
+    node.cpu_speed = GetDouble(ctx, n, "speed");
+    node.memory = GetDouble(ctx, n, "memory");
+    node.state = GetInt<int>(ctx, n, "state");
+    node.speed_factor = GetDouble(ctx, n, "speed_factor");
+    in.nodes.push_back(node);
   }
 
-  if (const JsonValue* jobs = Get(ctx, obj, "jobs");
-      jobs != nullptr && jobs->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& j : jobs->array) {
-      obs::TraceJobInput job;
-      job.id = GetInt<AppId>(ctx, j, "id");
-      job.submit_time = GetDouble(ctx, j, "submit_time");
-      job.desired_start = GetDouble(ctx, j, "desired_start");
-      job.completion_goal = GetDouble(ctx, j, "completion_goal");
-      job.work_done = GetDouble(ctx, j, "work_done");
-      job.status = GetInt<int>(ctx, j, "status");
-      job.current_node = GetInt<NodeId>(ctx, j, "node");
-      job.overhead_until = GetDouble(ctx, j, "overhead_until");
-      job.place_overhead = GetDouble(ctx, j, "place_overhead");
-      job.migrate_overhead = GetDouble(ctx, j, "migrate_overhead");
-      job.memory = GetDouble(ctx, j, "memory");
-      job.max_speed = GetDouble(ctx, j, "max_speed");
-      job.min_speed = GetDouble(ctx, j, "min_speed");
-      if (const JsonValue* stages = Get(ctx, j, "stages");
-          stages != nullptr && stages->kind == JsonValue::Kind::kArray) {
-        for (const JsonValue& s : stages->array) {
-          obs::TraceStageInput stage;
-          stage.work = GetDouble(ctx, s, "work");
-          stage.max_speed = GetDouble(ctx, s, "max_speed");
-          stage.min_speed = GetDouble(ctx, s, "min_speed");
-          stage.memory = GetDouble(ctx, s, "memory");
-          job.stages.push_back(stage);
-        }
-      }
-      in.jobs.push_back(std::move(job));
+  for (const JsonValue& j : GetArray(ctx, obj, "jobs")) {
+    obs::TraceJobInput job;
+    job.id = GetInt<AppId>(ctx, j, "id");
+    job.submit_time = GetDouble(ctx, j, "submit_time");
+    job.desired_start = GetDouble(ctx, j, "desired_start");
+    job.completion_goal = GetDouble(ctx, j, "completion_goal");
+    job.work_done = GetDouble(ctx, j, "work_done");
+    job.status = GetInt<int>(ctx, j, "status");
+    job.current_node = GetInt<NodeId>(ctx, j, "node");
+    job.overhead_until = GetDouble(ctx, j, "overhead_until");
+    job.place_overhead = GetDouble(ctx, j, "place_overhead");
+    job.migrate_overhead = GetDouble(ctx, j, "migrate_overhead");
+    job.memory = GetDouble(ctx, j, "memory");
+    job.max_speed = GetDouble(ctx, j, "max_speed");
+    job.min_speed = GetDouble(ctx, j, "min_speed");
+    for (const JsonValue& s : GetArray(ctx, j, "stages")) {
+      obs::TraceStageInput stage;
+      stage.work = GetDouble(ctx, s, "work");
+      stage.max_speed = GetDouble(ctx, s, "max_speed");
+      stage.min_speed = GetDouble(ctx, s, "min_speed");
+      stage.memory = GetDouble(ctx, s, "memory");
+      job.stages.push_back(stage);
     }
+    in.jobs.push_back(std::move(job));
   }
 
-  if (const JsonValue* txs = Get(ctx, obj, "tx");
-      txs != nullptr && txs->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& t : txs->array) {
-      obs::TraceTxInput tx;
-      tx.id = GetInt<AppId>(ctx, t, "id");
-      tx.name = GetString(ctx, t, "name");
-      tx.memory = GetDouble(ctx, t, "memory");
-      tx.response_time_goal = GetDouble(ctx, t, "response_time_goal");
-      tx.demand_per_request = GetDouble(ctx, t, "demand_per_request");
-      tx.min_response_time = GetDouble(ctx, t, "min_response_time");
-      tx.saturation = GetDouble(ctx, t, "saturation");
-      tx.max_instances = GetInt<int>(ctx, t, "max_instances");
-      tx.arrival_rate = GetDouble(ctx, t, "arrival_rate");
-      tx.current_nodes = GetNodeArray(ctx, t, "nodes");
-      in.tx_apps.push_back(std::move(tx));
-    }
+  for (const JsonValue& t : GetArray(ctx, obj, "tx")) {
+    obs::TraceTxInput tx;
+    tx.id = GetInt<AppId>(ctx, t, "id");
+    tx.name = GetString(ctx, t, "name");
+    tx.memory = GetDouble(ctx, t, "memory");
+    tx.response_time_goal = GetDouble(ctx, t, "response_time_goal");
+    tx.demand_per_request = GetDouble(ctx, t, "demand_per_request");
+    tx.min_response_time = GetDouble(ctx, t, "min_response_time");
+    tx.saturation = GetDouble(ctx, t, "saturation");
+    tx.max_instances = GetInt<int>(ctx, t, "max_instances");
+    tx.arrival_rate = GetDouble(ctx, t, "arrival_rate");
+    tx.current_nodes = GetNodeArray(ctx, t, "nodes");
+    in.tx_apps.push_back(std::move(tx));
   }
 
   if (const JsonValue* opts = Get(ctx, obj, "options"); opts != nullptr) {
-    in.options.max_sweeps = GetInt<int>(ctx, *opts, "max_sweeps");
-    in.options.max_changes_per_node =
-        GetInt<int>(ctx, *opts, "max_changes_per_node");
-    in.options.max_wishes_tried = GetInt<int>(ctx, *opts, "max_wishes_tried");
-    in.options.max_migrations_tried =
-        GetInt<int>(ctx, *opts, "max_migrations_tried");
-    in.options.max_evaluations = GetInt<int>(ctx, *opts, "max_evaluations");
-    in.options.tie_tolerance = GetDouble(ctx, *opts, "tie_tolerance");
-    in.options.grid = GetDoubleArray(ctx, *opts, "grid");
-    in.options.level_tolerance = GetDouble(ctx, *opts, "level_tolerance");
-    in.options.probe_delta = GetDouble(ctx, *opts, "probe_delta");
-    in.options.bisection_iters = GetInt<int>(ctx, *opts, "bisection_iters");
-    in.options.batch_aggregate = GetBool(ctx, *opts, "batch_aggregate");
-    in.options.cell_size = GetIntOr<int>(ctx, *opts, "cell_size", 0);
-    in.options.partition_seed =
-        GetIntOr<std::uint64_t>(ctx, *opts, "partition_seed", 0);
-    in.options.max_cross_cell_moves =
-        GetIntOr<int>(ctx, *opts, "max_cross_cell_moves", 8);
-    // Fairness-objective fields (absent in pre-objective traces = default
-    // lexicographic max-min; fallbacks mirror FairnessObjectiveConfig).
-    in.options.objective = GetIntOr<int>(ctx, *opts, "objective", 0);
-    in.options.karma_weight = GetDoubleOr(ctx, *opts, "karma_weight", 0.5);
-    in.options.karma_cap = GetDoubleOr(ctx, *opts, "karma_cap", 8.0);
-    in.options.karma_earn_rate =
-        GetDoubleOr(ctx, *opts, "karma_earn_rate", 1.0);
-    in.options.pf_epsilon = GetDoubleOr(ctx, *opts, "pf_epsilon", 1e-6);
-  }
-
-  if (const JsonValue* pins = Get(ctx, obj, "pins");
-      pins != nullptr && pins->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& p : pins->array) {
-      obs::TracePin pin;
-      pin.app = GetInt<AppId>(ctx, p, "app");
-      pin.nodes = GetNodeArray(ctx, p, "nodes");
-      in.pins.push_back(std::move(pin));
+    obs::TraceSolverOptions& o = in.options;
+    o.max_sweeps = GetInt<int>(ctx, *opts, "max_sweeps");
+    o.max_changes_per_node = GetInt<int>(ctx, *opts, "max_changes_per_node");
+    o.max_wishes_tried = GetInt<int>(ctx, *opts, "max_wishes_tried");
+    o.max_migrations_tried = GetInt<int>(ctx, *opts, "max_migrations_tried");
+    o.max_evaluations = GetInt<int>(ctx, *opts, "max_evaluations");
+    o.tie_tolerance = GetDouble(ctx, *opts, "tie_tolerance");
+    o.grid = GetDoubleArray(ctx, *opts, "grid");
+    o.level_tolerance = GetDouble(ctx, *opts, "level_tolerance");
+    o.probe_delta = GetDouble(ctx, *opts, "probe_delta");
+    o.bisection_iters = GetInt<int>(ctx, *opts, "bisection_iters");
+    o.batch_aggregate = GetBool(ctx, *opts, "batch_aggregate");
+    // Sharded-run group, emitted only when cell_size > 0; absent, the
+    // TraceSolverOptions defaults (a monolithic solve) stand.
+    if (Has(*opts, "cell_size")) {
+      o.cell_size = GetInt<int>(ctx, *opts, "cell_size");
+      o.partition_seed = GetInt<std::uint64_t>(ctx, *opts, "partition_seed");
+      o.max_cross_cell_moves = GetInt<int>(ctx, *opts, "max_cross_cell_moves");
+    }
+    // Fairness-objective group, emitted only for a non-default objective;
+    // absent, the defaults (lexicographic max-min) stand.
+    if (Has(*opts, "objective")) {
+      o.objective = GetInt<int>(ctx, *opts, "objective");
+      o.karma_weight = GetDouble(ctx, *opts, "karma_weight");
+      o.karma_cap = GetDouble(ctx, *opts, "karma_cap");
+      o.karma_earn_rate = GetDouble(ctx, *opts, "karma_earn_rate");
+      o.pf_epsilon = GetDouble(ctx, *opts, "pf_epsilon");
     }
   }
 
-  if (const JsonValue* seps = Get(ctx, obj, "separations");
-      seps != nullptr && seps->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& s : seps->array) {
-      if (s.kind != JsonValue::Kind::kArray || s.array.size() != 2) {
-        ctx.Fail("separation must be an [a,b] pair");
-        break;
-      }
-      in.separations.emplace_back(
-          static_cast<AppId>(ElementAsDouble(ctx, s.array[0], "separations")),
-          static_cast<AppId>(ElementAsDouble(ctx, s.array[1], "separations")));
-    }
+  for (const JsonValue& p : GetArray(ctx, obj, "pins")) {
+    obs::TracePin pin;
+    pin.app = GetInt<AppId>(ctx, p, "app");
+    pin.nodes = GetNodeArray(ctx, p, "nodes");
+    in.pins.push_back(std::move(pin));
   }
-  in.fairness_credits = GetDoubleArrayOr(ctx, obj, "credits");
+
+  for (const JsonValue& s : GetArray(ctx, obj, "separations")) {
+    if (!IsTuple(s, 2)) {
+      ctx.Fail("separation must be an [a,b] pair");
+      break;
+    }
+    in.separations.emplace_back(AsInt<AppId>(ctx, &s.array[0], "separations"),
+                                AsInt<AppId>(ctx, &s.array[1], "separations"));
+  }
+  // Karma credits, emitted only when the snapshot's ledger is non-empty.
+  if (Has(obj, "credits")) {
+    in.fairness_credits = GetDoubleArray(ctx, obj, "credits");
+  }
   return in;
 }
 
 obs::CycleDecisionRecord ReadDecision(Ctx& ctx, const JsonValue& obj) {
   obs::CycleDecisionRecord decision;
-  if (const JsonValue* cells = Get(ctx, obj, "placement");
-      cells != nullptr && cells->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& c : cells->array) {
-      if (c.kind != JsonValue::Kind::kArray || c.array.size() != 3) {
-        ctx.Fail("placement cell must be [entity,node,count]");
-        break;
-      }
-      obs::TracePlacementCell cell;
-      cell.entity = static_cast<int>(ElementAsDouble(ctx, c.array[0], "placement"));
-      cell.node = static_cast<int>(ElementAsDouble(ctx, c.array[1], "placement"));
-      cell.count = static_cast<int>(ElementAsDouble(ctx, c.array[2], "placement"));
-      decision.placement.push_back(cell);
+  for (const JsonValue& c : GetArray(ctx, obj, "placement")) {
+    if (!IsTuple(c, 3)) {
+      ctx.Fail("placement cell must be [entity,node,count]");
+      break;
     }
+    decision.placement.push_back({AsInt<int>(ctx, &c.array[0], "placement"),
+                                  AsInt<int>(ctx, &c.array[1], "placement"),
+                                  AsInt<int>(ctx, &c.array[2], "placement")});
   }
   decision.allocations = GetDoubleArray(ctx, obj, "allocations");
   return decision;
@@ -554,13 +517,6 @@ obs::CycleTrace ReadCycle(Ctx& ctx, const JsonValue& obj, int version) {
   t.cache_hits = GetInt<std::uint64_t>(ctx, obj, "cache_hits");
   t.cache_misses = GetInt<std::uint64_t>(ctx, obj, "cache_misses");
   t.distribute_calls = GetInt<std::uint64_t>(ctx, obj, "distribute_calls");
-  t.num_cells = GetIntOr<int>(ctx, obj, "num_cells", 0);
-  t.cross_cell_migrations = GetIntOr<int>(ctx, obj, "cross_cell_migrations", 0);
-  t.cell_solver_seconds = GetDoubleArrayOr(ctx, obj, "cell_solver_seconds");
-  // Optional event-driven cycle tag (missing = periodic cycle).
-  if (obj.kind == JsonValue::Kind::kObject && obj.Find("trigger") != nullptr) {
-    t.trigger = GetString(ctx, obj, "trigger");
-  }
   t.node_health.online = GetInt<int>(ctx, obj, "nodes_online");
   t.node_health.degraded = GetInt<int>(ctx, obj, "nodes_degraded");
   t.node_health.offline = GetInt<int>(ctx, obj, "nodes_offline");
@@ -570,21 +526,95 @@ obs::CycleTrace ReadCycle(Ctx& ctx, const JsonValue& obj, int version) {
   t.rp_after = GetDoubleArray(ctx, obj, "rp_after");
   t.tx_utilities = GetDoubleArray(ctx, obj, "tx_utilities");
   t.tx_allocations = GetDoubleArray(ctx, obj, "tx_allocations");
-  if (version >= 2) {
-    const bool has_input = obj.Find("input") != nullptr;
-    const bool has_decision = obj.Find("decision") != nullptr;
-    if (has_input != has_decision) {
-      ctx.Fail("cycle must carry both input and decision or neither");
-    } else if (has_input) {
-      t.input = ReadInput(ctx, *obj.Find("input"));
-      t.decision = ReadDecision(ctx, *obj.Find("decision"));
+  if (version < 2) return t;
+  // Sharded-solve group, emitted only for cycles that ran num_cells > 0.
+  if (Has(obj, "num_cells")) {
+    t.num_cells = GetInt<int>(ctx, obj, "num_cells");
+    t.cross_cell_migrations = GetInt<int>(ctx, obj, "cross_cell_migrations");
+    t.cell_solver_seconds = GetDoubleArray(ctx, obj, "cell_solver_seconds");
+  }
+  // Event-driven cycle tag (absent = periodic cycle).
+  if (Has(obj, "trigger")) t.trigger = GetString(ctx, obj, "trigger");
+  // Full-trace payload: input and decision travel together.
+  if (Has(obj, "input") || Has(obj, "decision")) {
+    const JsonValue* input = Get(ctx, obj, "input");
+    const JsonValue* decision = Get(ctx, obj, "decision");
+    if (input != nullptr && decision != nullptr) {
+      t.input = ReadInput(ctx, *input);
+      t.decision = ReadDecision(ctx, *decision);
     }
   }
   return t;
 }
 
+void ReadHeader(Ctx& ctx, const JsonValue& obj, ParsedTrace& trace,
+                std::size_t& declared) {
+  if (GetString(ctx, obj, "record") != "header") {
+    ctx.Fail("first record must be a header");
+    return;
+  }
+  trace.schema_version = GetInt<int>(ctx, obj, "schema_version");
+  if (ctx.ok && trace.schema_version != 1 && trace.schema_version != 2) {
+    ctx.Fail("unsupported schema_version " +
+             std::to_string(trace.schema_version));
+    return;
+  }
+  if (trace.schema_version >= 2) {
+    trace.context.run_id = GetString(ctx, obj, "run_id");
+  }
+  trace.context.experiment = GetString(ctx, obj, "experiment");
+  trace.context.seed = GetInt<std::uint64_t>(ctx, obj, "seed");
+  trace.context.control_cycle = GetDouble(ctx, obj, "control_cycle");
+  trace.context.build_type = GetString(ctx, obj, "build_type");
+  trace.context.git_sha = GetString(ctx, obj, "git_sha");
+  // Scenario-calibration object (src/workload runs only); its ordered
+  // members round-trip through re-export byte-identically.
+  if (Has(obj, "scenario")) {
+    const JsonValue* scenario = Get(ctx, obj, "scenario");
+    if (scenario != nullptr && scenario->kind != JsonValue::Kind::kObject) {
+      ctx.Fail("key 'scenario' is not an object");
+    } else if (scenario != nullptr) {
+      for (const auto& [name, entry] : scenario->members) {
+        entry.read = true;
+        trace.context.scenario.emplace_back(
+            name, AsDouble(ctx, &entry, "scenario"));
+      }
+    }
+  }
+  declared = GetInt<std::size_t>(ctx, obj, "num_cycles");
+}
+
+/// The path of the first object member no Get consumed ("" when none), e.g.
+/// "input.jobs[3].bogus"; sets *duplicate when that member repeats an
+/// earlier key rather than naming one the schema does not define.
+std::string UnreadKey(const JsonValue& value, bool* duplicate) {
+  const auto join = [](const std::string& outer, const std::string& inner) {
+    return outer + (inner[0] == '[' ? "" : ".") + inner;
+  };
+  for (const auto& [key, member] : value.members) {
+    if (!member.read) {
+      *duplicate = value.Find(key) != &member;
+      return key;
+    }
+    if (std::string inner = UnreadKey(member, duplicate); !inner.empty()) {
+      return join(key, inner);
+    }
+  }
+  for (std::size_t i = 0; i < value.array.size(); ++i) {
+    if (std::string inner = UnreadKey(value.array[i], duplicate);
+        !inner.empty()) {
+      return join("[" + std::to_string(i) + "]", inner);
+    }
+  }
+  return {};
+}
+
 void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
+}
+
+std::string AtLine(std::size_t line_no, const std::string& message) {
+  return "line " + std::to_string(line_no) + ": " + message;
 }
 
 }  // namespace
@@ -592,79 +622,39 @@ void SetError(std::string* error, std::string message) {
 std::optional<ParsedTrace> ParseTraceJsonl(std::string_view text,
                                            std::string* error) {
   ParsedTrace trace;
-  std::size_t line_no = 0;
   std::size_t declared = 0;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, nl == std::string_view::npos ? text.size() - pos
-                                                      : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    if (line.empty()) {
-      if (nl == std::string_view::npos) break;
-      continue;
-    }
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
     ++line_no;
 
     JsonValue value;
     Parser parser(line);
     if (!parser.Parse(value)) {
-      SetError(error,
-               "line " + std::to_string(line_no) + ": " + parser.error());
+      SetError(error, AtLine(line_no, parser.error()));
       return std::nullopt;
     }
     Ctx ctx;
-    if (!saw_header) {
-      saw_header = true;
-      if (GetString(ctx, value, "record") != "header") {
-        SetError(error, "line 1: first record must be a header");
-        return std::nullopt;
-      }
-      trace.schema_version = GetInt<int>(ctx, value, "schema_version");
-      if (ctx.ok && trace.schema_version != 1 && trace.schema_version != 2) {
-        SetError(error, "line 1: unsupported schema_version " +
-                            std::to_string(trace.schema_version));
-        return std::nullopt;
-      }
-      trace.context.experiment = GetString(ctx, value, "experiment");
-      trace.context.seed = GetInt<std::uint64_t>(ctx, value, "seed");
-      trace.context.control_cycle = GetDouble(ctx, value, "control_cycle");
-      trace.context.build_type = GetString(ctx, value, "build_type");
-      trace.context.git_sha = GetString(ctx, value, "git_sha");
-      if (trace.schema_version >= 2) {
-        trace.context.run_id = GetString(ctx, value, "run_id");
-      }
-      // Optional scenario-calibration object (emitted by src/workload runs
-      // only); ordered members round-trip through re-export byte-identically.
-      if (const JsonValue* scenario = value.Find("scenario");
-          scenario != nullptr && scenario->kind == JsonValue::Kind::kObject) {
-        for (const auto& [name, entry] : scenario->members) {
-          if (entry.kind != JsonValue::Kind::kNumber) {
-            ctx.Fail("scenario value '" + name + "' is not a number");
-            break;
-          }
-          double parsed = 0.0;
-          const char* begin = entry.number.data();
-          std::from_chars(begin, begin + entry.number.size(), parsed);
-          trace.context.scenario.emplace_back(name, parsed);
-        }
-      }
-      declared = GetInt<std::size_t>(ctx, value, "num_cycles");
+    if (line_no == 1) {
+      ReadHeader(ctx, value, trace, declared);
+    } else if (GetString(ctx, value, "record") != "cycle") {
+      ctx.Fail("expected a cycle record");
     } else {
-      if (GetString(ctx, value, "record") != "cycle") {
-        ctx.Fail("expected a cycle record");
-      } else {
-        trace.cycles.push_back(ReadCycle(ctx, value, trace.schema_version));
-      }
+      trace.cycles.push_back(ReadCycle(ctx, value, trace.schema_version));
+    }
+    bool duplicate = false;
+    if (const std::string key = ctx.ok ? UnreadKey(value, &duplicate) : "";
+        !key.empty()) {
+      ctx.Fail((duplicate ? "duplicate key '" : "unknown key '") + key + "'");
     }
     if (!ctx.ok) {
-      SetError(error, "line " + std::to_string(line_no) + ": " + ctx.error);
+      SetError(error, AtLine(line_no, ctx.error));
       return std::nullopt;
     }
   }
-  if (!saw_header) {
+  if (line_no == 0) {
     SetError(error, "empty trace file");
     return std::nullopt;
   }
@@ -675,6 +665,49 @@ std::optional<ParsedTrace> ParseTraceJsonl(std::string_view text,
     return std::nullopt;
   }
   return trace;
+}
+
+std::string ValidateTrace(const ParsedTrace& trace, int min_cycles) {
+  for (std::size_t i = 0; i < trace.cycles.size(); ++i) {
+    const obs::CycleTrace& t = trace.cycles[i];
+    // Entity counts in 64 bits: a hostile num_jobs must not overflow.
+    const std::int64_t jobs = t.num_jobs;
+    const auto tx = static_cast<std::int64_t>(t.tx_utilities.size());
+    const auto size = [](const auto& v) {
+      return static_cast<std::int64_t>(v.size());
+    };
+    std::string problem;
+    if (t.input.has_value() && size(t.input->jobs) != jobs) {
+      problem = "input jobs length != num_jobs";
+    } else if (t.input.has_value() && size(t.input->tx_apps) != tx) {
+      problem = "input tx length != tx_utilities length";
+    } else if (t.input.has_value() && !t.input->fairness_credits.empty() &&
+               size(t.input->fairness_credits) != jobs + tx) {
+      problem = "input credits length != jobs + tx entities";
+    } else if (size(t.rp_after) != jobs + tx) {
+      problem = "rp_after length != num_jobs + tx entities";
+    } else if (size(t.cell_solver_seconds) != t.num_cells) {
+      problem = "cell_solver_seconds length != num_cells";
+    } else if (i > 0) {
+      // Sweep exports concatenate runs: within one run cycles advance by 1,
+      // and a new run (and only a new run) restarts at cycle 0.
+      const obs::CycleTrace& prev = trace.cycles[i - 1];
+      if (t.cycle != 0 && t.cycle != std::int64_t{prev.cycle} + 1) {
+        problem = "cycle jumped from " + std::to_string(prev.cycle) + " to " +
+                  std::to_string(t.cycle);
+      } else if (t.cycle != 0 && t.run_id != prev.run_id) {
+        problem = "run_id changed to '" + t.run_id +
+                  "' without a cycle reset to 0";
+      }
+    }
+    // Line 1 is the header, so cycle i sits on line i + 2.
+    if (!problem.empty()) return AtLine(i + 2, problem);
+  }
+  if (std::cmp_less(trace.cycles.size(), min_cycles)) {
+    return "expected at least " + std::to_string(min_cycles) +
+           " cycles, found " + std::to_string(trace.cycles.size());
+  }
+  return {};
 }
 
 std::optional<ParsedTrace> ParseTraceFile(const std::string& path,

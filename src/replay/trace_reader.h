@@ -8,8 +8,16 @@
 // strings with the exporter's escape set, numbers, booleans, null — parsed
 // by a small dependency-free recursive-descent parser.
 //
-// Malformed input is reported as an error string, never a crash: the replay
-// CLI must diagnose truncated or hand-edited traces gracefully.
+// This module is the single definition of the trace schema. Each record's
+// key set is exactly the keys the reader consumes: an unknown or duplicate
+// key, a partial optional group (sharded options, objective options,
+// per-cycle sharded stats, input/decision), a fractional or out-of-range
+// integer, or a wrong JSON type is an error. ValidateTrace adds the checks
+// that span fields and records. `replay_apc --validate` runs both.
+//
+// Malformed input is reported as a line-numbered error string, never a
+// crash: the replay CLI must diagnose truncated or hand-edited traces
+// gracefully.
 #pragma once
 
 #include <cstdint>
@@ -40,5 +48,14 @@ std::optional<ParsedTrace> ParseTraceJsonl(std::string_view text,
 /// Reads and parses `path`. Errors include I/O failures.
 std::optional<ParsedTrace> ParseTraceFile(const std::string& path,
                                           std::string* error);
+
+/// The checks no single record can make: rp_after holds num_jobs plus one
+/// entry per tx app; cell_solver_seconds holds num_cells entries; a cycle's
+/// input lists num_jobs jobs, one tx app per tx_utilities entry and, when
+/// present, one credit per entity; cycle numbers step by +1 or reset to 0;
+/// run_id changes only at a reset; and the file has at least `min_cycles`
+/// cycles. Returns the first violation (line-numbered where it has a line)
+/// or "" when the trace is consistent.
+std::string ValidateTrace(const ParsedTrace& trace, int min_cycles);
 
 }  // namespace mwp::replay

@@ -122,6 +122,25 @@ TEST(CommandLineTest, GetSeedParsesAndValidates) {
   EXPECT_THROW(Parse({"--seed=4x"}).GetSeed(7), FlagError);
 }
 
+TEST(CommandLineTest, RangeCheckedGetters) {
+  EXPECT_EQ(Parse({"--n=3"}).GetIntAtLeast("n", 0, 1), 3);
+  EXPECT_EQ(Parse({}).GetIntAtLeast("n", 5, 1), 5);
+  EXPECT_THROW(Parse({"--n=0"}).GetIntAtLeast("n", 5, 1), FlagError);
+  EXPECT_THROW(Parse({"--n=2147483648"}).GetIntAtLeast("n", 5, 0), FlagError);
+
+  EXPECT_DOUBLE_EQ(Parse({"--t=0.5"}).GetPositive("t", 1.0), 0.5);
+  EXPECT_THROW(Parse({"--t=0"}).GetPositive("t", 1.0), FlagError);
+  EXPECT_THROW(Parse({"--t=-2"}).GetPositive("t", 1.0), FlagError);
+
+  EXPECT_EQ(Parse({"--l=400,50.5"}).GetPositiveList("l", "1"),
+            (std::vector<double>{400.0, 50.5}));
+  EXPECT_EQ(Parse({}).GetPositiveList("l", "7"), std::vector<double>{7.0});
+  for (const char* bad : {"--l=", "--l=1,,2", "--l=1,abc", "--l=1,-2",
+                          "--l=1,", "--l=0"}) {
+    EXPECT_THROW(Parse({bad}).GetPositiveList("l", "1"), FlagError) << bad;
+  }
+}
+
 TEST(CommandLineTest, FlagNamesEnumerated) {
   auto cli = Parse({"--a=1", "--b=2"});
   const auto names = cli.FlagNames();

@@ -129,8 +129,8 @@ golden-run,1,600,nan,nan,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,3,0,0,3200,3200,,
 
 TEST(TraceExportTest, SchemaVersionIsPinned) {
   // Bumping the schema version is a deliberate act: it must come with new
-  // golden strings above and a matching update to
-  // tools/trace/validate_trace.py. This assertion makes a silent bump fail.
+  // golden strings above and a matching update to the reader in
+  // src/replay/trace_reader.cc. This assertion makes a silent bump fail.
   EXPECT_EQ(kTraceSchemaVersion, 2);
 }
 

@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,7 +21,7 @@ namespace {
 // archived traces must keep parsing (with empty run ids and no input).
 constexpr const char* kV1Trace =
     R"({"record":"header","schema_version":1,"experiment":"golden","seed":7,"control_cycle":600,"build_type":"Release","git_sha":"deadbeef","num_cycles":2}
-{"record":"cycle","cycle":0,"time":0,"avg_job_rp":0.75,"min_job_rp":0.5,"num_jobs":2,"running_jobs":2,"queued_jobs":0,"suspended_jobs":0,"batch_allocation":1024,"tx_allocation":512,"cluster_utilization":0.75,"starts":2,"stops":0,"suspends":0,"resumes":0,"migrations":0,"failed_operations":0,"evaluations":3,"shortcut":false,"solver_seconds":0.25,"cache_hits":4,"cache_misses":2,"distribute_calls":6,"nodes_online":2,"nodes_degraded":1,"nodes_offline":0,"available_cpu":3000,"nominal_cpu":3200,"rp_before":[0.5,0.75],"rp_after":[0.75,0.75],"tx_utilities":[0.5],"tx_allocations":[512]}
+{"record":"cycle","cycle":0,"time":0,"avg_job_rp":0.75,"min_job_rp":0.5,"num_jobs":2,"running_jobs":2,"queued_jobs":0,"suspended_jobs":0,"batch_allocation":1024,"tx_allocation":512,"cluster_utilization":0.75,"starts":2,"stops":0,"suspends":0,"resumes":0,"migrations":0,"failed_operations":0,"evaluations":3,"shortcut":false,"solver_seconds":0.25,"cache_hits":4,"cache_misses":2,"distribute_calls":6,"nodes_online":2,"nodes_degraded":1,"nodes_offline":0,"available_cpu":3000,"nominal_cpu":3200,"rp_before":[0.5,0.75],"rp_after":[0.5,0.75,0.75],"tx_utilities":[0.5],"tx_allocations":[512]}
 {"record":"cycle","cycle":1,"time":600,"avg_job_rp":null,"min_job_rp":null,"num_jobs":0,"running_jobs":0,"queued_jobs":0,"suspended_jobs":0,"batch_allocation":0,"tx_allocation":0,"cluster_utilization":0,"starts":0,"stops":0,"suspends":0,"resumes":0,"migrations":0,"failed_operations":0,"evaluations":0,"shortcut":true,"solver_seconds":0,"cache_hits":0,"cache_misses":0,"distribute_calls":0,"nodes_online":3,"nodes_degraded":0,"nodes_offline":0,"available_cpu":3200,"nominal_cpu":3200,"rp_before":[],"rp_after":[],"tx_utilities":[],"tx_allocations":[]}
 )";
 
@@ -47,6 +49,21 @@ TEST(TraceReaderTest, ParsesArchivedV1Trace) {
   EXPECT_TRUE(std::isnan(b.avg_job_rp));
   EXPECT_TRUE(b.shortcut);
   EXPECT_TRUE(b.rp_after.empty());
+
+  EXPECT_EQ(ValidateTrace(*trace, 2), "");
+}
+
+TEST(TraceReaderTest, V1CyclesCarryNoV2Keys) {
+  // run_id, trigger, the sharded stats and input/decision arrived with v2.
+  for (const char* key : {R"("run_id":"r",)", R"("trigger":"event",)",
+                          R"("num_cells":0,)", R"("input":{},)"}) {
+    std::string text = kV1Trace;
+    const std::size_t at = text.find(R"("time":600)");
+    text.insert(at, key);
+    std::string error;
+    EXPECT_FALSE(ParseTraceJsonl(text, &error).has_value()) << key;
+    EXPECT_EQ(error.rfind("line 3: unknown key", 0), 0u) << error;
+  }
 }
 
 TEST(TraceReaderTest, RejectsMalformedInput) {
@@ -79,6 +96,85 @@ TEST(TraceReaderTest, ReportsLineNumbersInErrors) {
       "\nnot json\n";
   EXPECT_FALSE(ParseTraceJsonl(text, &error).has_value());
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+// --- strict integers in arrays ---------------------------------------------
+
+/// A one-cycle v2 trace whose input and decision hold one of each integer
+/// array: tx nodes [3], pin nodes [4], separations [[8,9]] and placement
+/// [[0,6,2]].
+std::string TraceWithIntegerArrays() {
+  obs::CycleInputRecord in;
+  in.control_cycle = 600.0;
+  in.nodes.push_back({/*num_cpus=*/4, /*cpu_speed=*/3000.0,
+                      /*memory=*/8192.0, /*state=*/0, /*speed_factor=*/1.0});
+  obs::TraceTxInput tx;
+  tx.id = 7;
+  tx.name = "web";
+  tx.current_nodes = {3};
+  in.tx_apps.push_back(tx);
+  in.pins.push_back({/*app=*/5, /*nodes=*/{4}});
+  in.separations.emplace_back(8, 9);
+  obs::CycleTrace t;
+  t.run_id = "r";
+  t.rp_after = {0.5};
+  t.tx_utilities = {0.5};
+  t.tx_allocations = {100.0};
+  t.input = in;
+  t.decision = obs::CycleDecisionRecord{{{0, 6, 2}}, {100.0}};
+  std::ostringstream os;
+  obs::WriteTraceJsonl(os, obs::TraceContext{}, std::vector<obs::CycleTrace>{t});
+  return os.str();
+}
+
+/// The reader's error for TraceWithIntegerArrays() with `from` replaced by
+/// `to`.
+std::string ErrorAfterEdit(std::string_view from, std::string_view to) {
+  std::string text = TraceWithIntegerArrays();
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+  std::string error;
+  EXPECT_FALSE(ParseTraceJsonl(text, &error).has_value());
+  return error;
+}
+
+TEST(TraceReaderTest, IntegerArraysRoundTrip) {
+  std::string error;
+  const auto trace = ParseTraceJsonl(TraceWithIntegerArrays(), &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  const obs::CycleInputRecord& in = *trace->cycles[0].input;
+  EXPECT_EQ(in.tx_apps[0].current_nodes, std::vector<NodeId>{3});
+  EXPECT_EQ(in.pins[0].nodes, std::vector<NodeId>{4});
+  EXPECT_EQ(in.separations[0], (std::pair<AppId, AppId>{8, 9}));
+  EXPECT_EQ(trace->cycles[0].decision->placement[0],
+            (obs::TracePlacementCell{0, 6, 2}));
+  EXPECT_EQ(ValidateTrace(*trace, 1), "");
+}
+
+TEST(TraceReaderTest, RejectsFractionalPlacementCount) {
+  EXPECT_EQ(ErrorAfterEdit("[[0,6,2]]", "[[0,6,1.5]]"),
+            "line 2: key 'placement' is not an in-range integer");
+}
+
+TEST(TraceReaderTest, RejectsOutOfRangePlacementNode) {
+  EXPECT_EQ(ErrorAfterEdit("[[0,6,2]]", "[[0,1e300,2]]"),
+            "line 2: key 'placement' is not an in-range integer");
+}
+
+TEST(TraceReaderTest, RejectsFractionalTxNode) {
+  EXPECT_EQ(ErrorAfterEdit(R"("nodes":[3])", R"("nodes":[3.5])"),
+            "line 2: key 'nodes' is not an in-range integer");
+}
+
+TEST(TraceReaderTest, RejectsOutOfRangePinNode) {
+  EXPECT_EQ(ErrorAfterEdit(R"("nodes":[4])", R"("nodes":[2147483648])"),
+            "line 2: key 'nodes' is not an in-range integer");
+}
+
+TEST(TraceReaderTest, RejectsFractionalSeparation) {
+  EXPECT_EQ(ErrorAfterEdit("[[8,9]]", "[[8,9.5]]"),
+            "line 2: key 'separations' is not an in-range integer");
 }
 
 // --- serialize → parse → serialize byte-stability property --------------
