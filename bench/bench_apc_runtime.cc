@@ -304,27 +304,43 @@ void BM_OptimizeShortcut(benchmark::State& state) {
 BENCHMARK(BM_OptimizeShortcut)->Arg(5)->Arg(25)->Arg(100)->Unit(
     benchmark::kMillisecond);
 
-/// Distributes the current placement of `bench` once per iteration and
-/// reports the fill entities the water-fill bargains over (one batch
+/// Reports the fill entities the water-fill bargains over (one batch
 /// aggregate plus each transactional app), the jobs behind the aggregate,
-/// and the distributor's max-flow effort.
-void RunDistributorBench(benchmark::State& state, const BenchState& bench) {
-  const PlacementSnapshot snap = bench.Snapshot();
-  const LoadDistributor distributor(&snap);
-  DistributorScratch scratch;
-  for (auto _ : state) {
-    auto result = distributor.Distribute(snap.current_placement(), scratch);
-    benchmark::DoNotOptimize(result.totals);
-  }
-  const DistributorScratch::Stats stats = scratch.stats();
+/// and the distributor's max-flow effort per Distribute call.
+void ReportDistributorCounters(benchmark::State& state,
+                               const PlacementSnapshot& snap,
+                               const DistributorScratch::Stats& stats) {
+  const auto calls =
+      static_cast<double>(std::max<std::uint64_t>(stats.distribute_calls, 1));
   state.counters["fill_entities"] = 1 + snap.num_tx();
   state.counters["jobs"] = snap.num_jobs();
   state.counters["flow_probes_per_call"] =
-      static_cast<double>(stats.flow_probes) /
-      static_cast<double>(std::max<std::uint64_t>(stats.distribute_calls, 1));
+      static_cast<double>(stats.flow_probes) / calls;
   state.counters["augmentations_per_probe"] =
       static_cast<double>(stats.augmentations) /
       static_cast<double>(std::max<std::uint64_t>(stats.flow_probes, 1));
+  state.counters["fill_memo_hit_ratio"] =
+      static_cast<double>(stats.fill_memo_hits) / calls;
+}
+
+/// Distributes the current placement of `bench` once per iteration, each
+/// time through a fresh scratch, so every call solves the full water-fill
+/// (the memo tables start empty).
+void RunDistributorBench(benchmark::State& state, const BenchState& bench) {
+  const PlacementSnapshot snap = bench.Snapshot();
+  const LoadDistributor distributor(&snap);
+  DistributorScratch::Stats total;
+  for (auto _ : state) {
+    DistributorScratch scratch;
+    auto result = distributor.Distribute(snap.current_placement(), scratch);
+    benchmark::DoNotOptimize(result.totals);
+    const DistributorScratch::Stats stats = scratch.stats();
+    total.distribute_calls += stats.distribute_calls;
+    total.flow_probes += stats.flow_probes;
+    total.augmentations += stats.augmentations;
+    total.fill_memo_hits += stats.fill_memo_hits;
+  }
+  ReportDistributorCounters(state, snap, total);
 }
 
 void BM_LoadDistributor(benchmark::State& state) {
@@ -344,6 +360,25 @@ void BM_LoadDistributorMixed(benchmark::State& state) {
   RunDistributorBench(state, bench);
 }
 BENCHMARK(BM_LoadDistributorMixed)->Arg(25)->Unit(benchmark::kMillisecond);
+
+void BM_LoadDistributorMemoHit(benchmark::State& state) {
+  // The mixed fixture's placement distributed again and again through one
+  // scratch: after the first call every water-fill and per-node job split
+  // comes from the scratch's memo tables — the path a search takes for a
+  // candidate whose flow network it already solved this cycle.
+  const int nodes = static_cast<int>(state.range(0));
+  BenchState bench(nodes, nodes * 3, 50);
+  bench.AddWebAppOnEveryNode();
+  const PlacementSnapshot snap = bench.Snapshot();
+  const LoadDistributor distributor(&snap);
+  DistributorScratch scratch;
+  for (auto _ : state) {
+    auto result = distributor.Distribute(snap.current_placement(), scratch);
+    benchmark::DoNotOptimize(result.totals);
+  }
+  ReportDistributorCounters(state, snap, scratch.stats());
+}
+BENCHMARK(BM_LoadDistributorMemoHit)->Arg(25)->Unit(benchmark::kMillisecond);
 
 void BM_RepairCycle(benchmark::State& state) {
   // Out-of-band repair latency: a loaded system (checkpointed jobs plus a

@@ -1,6 +1,7 @@
 #include "core/load_distributor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -19,21 +20,81 @@ MHz StageMaxSpeed(const JobView& jv) {
   return jv.profile->stage(stage).max_speed;
 }
 
-std::uint64_t LevelKey(Utility level) {
-  return std::bit_cast<std::uint64_t>(level);
-}
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Source of distributor ids; 0 is never issued (it marks a fresh scratch).
+std::atomic<std::uint64_t> next_distributor_id{1};
+
+/// A memo table clears itself past this many stored words (8 MiB), far
+/// above one cycle's distinct networks and splits.
+constexpr std::size_t kMemoMaxWords = std::size_t{1} << 20;
 
 }  // namespace
 
+std::uint64_t DistributorScratch::Memo::Hash(
+    std::span<const std::uint64_t> key) {
+  // Splitmix64 finalizer over each word, chained.
+  std::uint64_t h = key.size();
+  for (const std::uint64_t w : key) {
+    h ^= w + 0x9e3779b97f4a7c15ULL;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+int DistributorScratch::Memo::Find(std::span<const std::uint64_t> key,
+                                   std::uint64_t hash) const {
+  const auto it = newest_.find(hash);
+  if (it == newest_.end()) return -1;
+  for (int i = it->second; i >= 0;
+       i = entries_[static_cast<std::size_t>(i)].older) {
+    const Entry& e = entries_[static_cast<std::size_t>(i)];
+    if (std::equal(key.begin(), key.end(), keys_.begin() + e.key_begin,
+                   keys_.begin() + e.key_begin + e.key_size)) {
+      return i;
+    }
+  }
+  return -1;
+}
+
+int DistributorScratch::Memo::Insert(std::span<const std::uint64_t> key,
+                                     std::uint64_t hash,
+                                     std::span<const double> values) {
+  if (keys_.size() + values_.size() > kMemoMaxWords) Clear();
+  const int index = static_cast<int>(entries_.size());
+  auto [it, inserted] = newest_.try_emplace(hash, index);
+  entries_.push_back(Entry{keys_.size(), key.size(), values_.size(),
+                           values.size(), inserted ? -1 : it->second});
+  it->second = index;
+  keys_.insert(keys_.end(), key.begin(), key.end());
+  values_.insert(values_.end(), values.begin(), values.end());
+  return index;
+}
+
+std::span<const double> DistributorScratch::Memo::values(int entry) const {
+  const Entry& e = entries_[static_cast<std::size_t>(entry)];
+  return std::span<const double>(values_).subspan(e.value_begin, e.value_size);
+}
+
+void DistributorScratch::Memo::Clear() {
+  newest_.clear();
+  entries_.clear();
+  keys_.clear();
+  values_.clear();
+}
+
 struct LoadDistributor::FillEntity {
-  enum class Kind { kJob, kTx, kBatch };
+  using Kind = DistributorScratch::FillKind;
 
   Kind kind = Kind::kJob;
   /// Snapshot entity index for kJob/kTx; -1 for the batch aggregate.
   int entity = -1;
   std::unique_ptr<Rpf> rpf;  // null for trivially satisfied entities
-  std::vector<int> nodes;
-  std::vector<MHz> edge_caps;  // per nodes[i]
+  /// Instance nodes and their edge caps, views into the scratch topology.
+  std::span<const int> nodes;
+  std::span<const MHz> edge_caps;
   MHz min_alloc = 0.0;
   bool active = false;
   MHz fixed_demand = 0.0;
@@ -50,7 +111,7 @@ struct LoadDistributor::FillEntity {
     MWP_DCHECK(rpf != nullptr);
     const Utility target = std::min(level, max_u);
     if (demand_memo != nullptr) {
-      const std::uint64_t key = LevelKey(target);
+      const std::uint64_t key = Bits(target);
       auto it = demand_memo->find(key);
       if (it != demand_memo->end()) return it->second;
       const MHz alloc = rpf->AllocationFor(target);
@@ -66,11 +127,17 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot)
 
 LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
                                  Options options)
-    : snapshot_(snapshot), options_(std::move(options)) {
+    : snapshot_(snapshot),
+      options_(std::move(options)),
+      id_(next_distributor_id.fetch_add(1, std::memory_order_relaxed)) {
   MWP_CHECK(snapshot_ != nullptr);
   MWP_CHECK(options_.level_tolerance > 0.0);
   MWP_CHECK(options_.probe_delta > 0.0);
   MWP_CHECK(options_.bisection_iters > 0);
+  stage_max_.reserve(static_cast<std::size_t>(snapshot_->num_jobs()));
+  for (const JobView& jv : snapshot_->jobs()) {
+    stage_max_.push_back(StageMaxSpeed(jv));
+  }
   if (options_.batch_aggregate && snapshot_->num_jobs() > 0) {
     // The aggregate demand curve over every incomplete job, evaluated at the
     // snapshot instant. Start delays reflect the jobs' *current* status; the
@@ -93,91 +160,142 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
   }
 }
 
-std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
-    const PlacementMatrix& p, DistributorScratch& scratch) const {
+void LoadDistributor::ReadTopology(const PlacementMatrix& p,
+                                   DistributorScratch& scratch) const {
+  using Kind = DistributorScratch::FillKind;
   const PlacementSnapshot& snap = *snapshot_;
-  std::vector<FillEntity> entities;
+  const int num_nodes = snap.num_nodes();
+  scratch.fills.clear();
+  scratch.edge_node.clear();
+  scratch.edge_cap.clear();
+  auto add_fill = [&](Kind kind, int entity, bool active) {
+    scratch.fills.push_back(DistributorScratch::Fill{
+        kind, entity, active, static_cast<int>(scratch.edge_node.size()), 0});
+  };
+  auto add_edge = [&](int node, MHz cap) {
+    scratch.edge_node.push_back(node);
+    scratch.edge_cap.push_back(cap);
+    ++scratch.fills.back().num_edges;
+  };
 
   if (options_.batch_aggregate) {
     // One entity for the whole batch workload, routed through the placed
     // job instances. Per-node caps accumulate jobs in index order (the
     // addition order determines the exact double). The hosting node of
     // each job is recorded on the way for the final decomposition.
-    FillEntity batch;
-    std::vector<MHz> node_cap(static_cast<std::size_t>(snap.num_nodes()), 0.0);
+    std::vector<MHz>& node_cap = scratch.node_cap;
+    node_cap.assign(static_cast<std::size_t>(num_nodes), 0.0);
     scratch.job_node.assign(static_cast<std::size_t>(snap.num_jobs()), -1);
     for (int j = 0; j < snap.num_jobs(); ++j) {
-      const int entity = snap.EntityOfJob(j);
-      const MHz stage_max = StageMaxSpeed(snap.job(j));
-      const int* row = p.RowData(entity);
-      for (int n = 0; n < snap.num_nodes(); ++n) {
+      const MHz stage_max = stage_max_[static_cast<std::size_t>(j)];
+      const int* row = p.RowData(snap.EntityOfJob(j));
+      // Most jobs of a deep queue are unplaced: a branch-free test skips
+      // their rows.
+      int hosted = 0;
+      for (int n = 0; n < num_nodes; ++n) {
+        hosted |= static_cast<int>(row[n] > 0);
+      }
+      if (hosted == 0) continue;
+      for (int n = 0; n < num_nodes; ++n) {
         if (row[n] > 0) {
           node_cap[static_cast<std::size_t>(n)] += stage_max;
           scratch.job_node[static_cast<std::size_t>(j)] = n;
         }
       }
     }
-    for (int n = 0; n < snap.num_nodes(); ++n) {
-      if (node_cap[static_cast<std::size_t>(n)] > 0.0) {
-        batch.nodes.push_back(n);
-        batch.edge_caps.push_back(node_cap[static_cast<std::size_t>(n)]);
-      }
-    }
-    batch.kind = FillEntity::Kind::kBatch;
-    if (!batch.nodes.empty()) {
-      MWP_DCHECK(hypothetical_ != nullptr);
-      batch.rpf = std::make_unique<BatchAggregateRpf>(hypothetical_.get());
-      batch.active = true;
-      batch.max_u = batch.rpf->max_utility();
-      batch.demand_memo = &scratch.batch_demand_memo;
-      entities.push_back(std::move(batch));
+    for (int n = 0; n < num_nodes; ++n) {
+      if (node_cap[static_cast<std::size_t>(n)] <= 0.0) continue;
+      if (scratch.fills.empty()) add_fill(Kind::kBatch, -1, true);
+      add_edge(n, node_cap[static_cast<std::size_t>(n)]);
     }
   } else {
     for (int j = 0; j < snap.num_jobs(); ++j) {
       const int entity = snap.EntityOfJob(j);
-      const std::vector<int> nodes = p.NodesOf(entity);
-      if (nodes.empty()) continue;
-      MWP_DCHECK_MSG(nodes.size() == 1, "a job has a single instance");
-      const JobView& jv = snap.job(j);
-      FillEntity e;
-      e.kind = FillEntity::Kind::kJob;
-      e.entity = entity;
-      e.nodes = nodes;
-      e.edge_caps = {StageMaxSpeed(jv)};
-      e.min_alloc = jv.min_speed;
-      e.rpf = std::make_unique<JobCompletionRpf>(
-          jv.profile, jv.goal, jv.work_done,
-          JobExecStart(snap, jv, nodes.front()));
-      e.active = true;
-      e.max_u = e.rpf->max_utility();
-      entities.push_back(std::move(e));
+      const int node = FirstNodeOf(p, entity);
+      if (node == kInvalidNode) continue;
+      MWP_DCHECK_MSG(p.InstanceCount(entity) == 1,
+                     "a job has a single instance");
+      add_fill(Kind::kJob, entity, true);
+      add_edge(node, stage_max_[static_cast<std::size_t>(j)]);
     }
   }
 
   for (int w = 0; w < snap.num_tx(); ++w) {
     const int entity = snap.EntityOfTx(w);
-    const std::vector<int> nodes = p.NodesOf(entity);
-    if (nodes.empty()) continue;
-    const TxView& tv = snap.tx(w);
-    FillEntity e;
-    e.kind = FillEntity::Kind::kTx;
-    e.entity = entity;
-    e.nodes = nodes;
-    for (int n : nodes) {
+    if (p.InstanceCount(entity) == 0) continue;
+    // An app without load is inactive: satisfied with zero CPU.
+    add_fill(Kind::kTx, entity, snap.tx(w).arrival_rate > 1e-12);
+    const int* row = p.RowData(entity);
+    for (int n = 0; n < num_nodes; ++n) {
       // A transactional instance may use its node's whole available CPU
       // (zero on a node captured offline, scaled when degraded).
-      e.edge_caps.push_back(snap.NodeAvailableCpu(n));
+      if (row[n] > 0) add_edge(n, snap.NodeAvailableCpu(n));
     }
-    if (tv.arrival_rate <= 1e-12) {
-      // No load: trivially satisfied with zero CPU.
-      e.fixed_demand = 0.0;
-      e.fixed_utility = 1.0;
-      e.active = false;
-    } else {
-      e.rpf = std::make_unique<QueuingModel>(tv.app->ModelAt(tv.arrival_rate));
-      e.active = true;
-      e.max_u = e.rpf->max_utility();
+  }
+
+  // The key: everything the water-fill reads that varies by candidate. An
+  // entity's RPF is fixed by its kind and snapshot index (and, for a job,
+  // by its node); node capacities are fixed by the snapshot. Per entity:
+  // kind | active << 8 | index << 32, the fixed demand it starts from
+  // (always zero), the edge count, then (node, cap bits) per edge.
+  std::vector<std::uint64_t>& key = scratch.fill_key;
+  key.clear();
+  for (const DistributorScratch::Fill& f : scratch.fills) {
+    const auto index = static_cast<std::uint32_t>(f.entity);
+    key.push_back(static_cast<std::uint64_t>(f.kind) |
+                  (f.active ? std::uint64_t{1} << 8 : 0) |
+                  (static_cast<std::uint64_t>(index) << 32));
+    key.push_back(Bits(0.0));
+    key.push_back(static_cast<std::uint64_t>(f.num_edges));
+    for (int k = f.first_edge; k < f.first_edge + f.num_edges; ++k) {
+      const auto edge = static_cast<std::size_t>(k);
+      key.push_back(static_cast<std::uint64_t>(scratch.edge_node[edge]));
+      key.push_back(Bits(scratch.edge_cap[edge]));
     }
+  }
+}
+
+std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
+    DistributorScratch& scratch) const {
+  const PlacementSnapshot& snap = *snapshot_;
+  std::vector<FillEntity> entities;
+  entities.reserve(scratch.fills.size());
+  for (const DistributorScratch::Fill& f : scratch.fills) {
+    FillEntity e;
+    e.kind = f.kind;
+    e.entity = f.entity;
+    e.nodes = std::span<const int>(scratch.edge_node)
+                  .subspan(static_cast<std::size_t>(f.first_edge),
+                           static_cast<std::size_t>(f.num_edges));
+    e.edge_caps = std::span<const MHz>(scratch.edge_cap)
+                      .subspan(static_cast<std::size_t>(f.first_edge),
+                               static_cast<std::size_t>(f.num_edges));
+    e.active = f.active;
+    switch (f.kind) {
+      case FillEntity::Kind::kBatch:
+        MWP_DCHECK(hypothetical_ != nullptr);
+        e.rpf = std::make_unique<BatchAggregateRpf>(hypothetical_.get());
+        e.demand_memo = &scratch.batch_demand_memo;
+        break;
+      case FillEntity::Kind::kJob: {
+        const JobView& jv = snap.job(snap.JobOfEntity(f.entity));
+        e.min_alloc = jv.min_speed;
+        e.rpf = std::make_unique<JobCompletionRpf>(
+            jv.profile, jv.goal, jv.work_done,
+            JobExecStart(snap, jv, e.nodes.front()));
+        break;
+      }
+      case FillEntity::Kind::kTx:
+        if (f.active) {
+          const TxView& tv = snap.tx(snap.TxOfEntity(f.entity));
+          e.rpf =
+              std::make_unique<QueuingModel>(tv.app->ModelAt(tv.arrival_rate));
+        } else {
+          e.fixed_utility = 1.0;  // no load: satisfied with zero CPU
+        }
+        break;
+    }
+    if (e.rpf != nullptr) e.max_u = e.rpf->max_utility();
     entities.push_back(std::move(e));
   }
   return entities;
@@ -220,19 +338,15 @@ bool LoadDistributor::ProbeDemands(const std::vector<MHz>& demands,
   return scratch.flow.Feasible(demands, commit);
 }
 
-bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
-                                   const std::vector<MHz>& demands,
-                                   DistributorScratch& scratch,
-                                   std::vector<std::vector<MHz>>& routing) const {
-  const int num_nodes = snapshot_->num_nodes();
-  const int e_count = static_cast<int>(entities.size());
-  MWP_DCHECK(scratch.num_fill_entities == e_count);
+bool LoadDistributor::RouteDemands(const std::vector<MHz>& demands,
+                                   DistributorScratch& scratch) const {
+  MWP_DCHECK(scratch.num_fill_entities == static_cast<int>(demands.size()));
   ++scratch.stats_.flow_probes;
 
   MHz demand_total = 0.0;
   for (const MHz d : demands) demand_total += d;
-  routing.assign(static_cast<std::size_t>(e_count),
-                 std::vector<MHz>(static_cast<std::size_t>(num_nodes), 0.0));
+  std::vector<MHz>& routing = scratch.routing;
+  routing.assign(scratch.edge_node.size(), 0.0);
   if (demand_total <= 0.0) return true;
 
   // A cold solve: the routing feeds the decisions, and a max-flow with
@@ -242,14 +356,13 @@ bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
   // fallback grants entities exactly these shares.
   FeasibilityFlow& flow = scratch.flow;
   const double shortfall = flow.SolveCold(demands);
-  for (int i = 0; i < e_count; ++i) {
-    const FillEntity& e = entities[static_cast<std::size_t>(i)];
-    const int first_edge = scratch.entity_edges[static_cast<std::size_t>(i)];
-    for (std::size_t k = 0; k < e.nodes.size(); ++k) {
-      const double f = flow.EdgeFlow(first_edge + static_cast<int>(k));
-      if (f > kFlowEps) {
-        routing[static_cast<std::size_t>(i)]
-               [static_cast<std::size_t>(e.nodes[k])] = f;
+  for (std::size_t i = 0; i < scratch.fills.size(); ++i) {
+    const DistributorScratch::Fill& f = scratch.fills[i];
+    const int first_edge = scratch.entity_edges[i];
+    for (int k = 0; k < f.num_edges; ++k) {
+      const double flow_k = flow.EdgeFlow(first_edge + k);
+      if (flow_k > kFlowEps) {
+        routing[static_cast<std::size_t>(f.first_edge + k)] = flow_k;
       }
     }
   }
@@ -258,10 +371,10 @@ bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
 
 void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
                                          int node, MHz share,
-                                         DistributionResult& result) const {
+                                         std::vector<double>& out) const {
   const PlacementSnapshot& snap = *snapshot_;
+  out.clear();
   struct LocalJob {
-    int entity;
     MHz cap;
     MHz min_alloc;
     JobCompletionRpf rpf;
@@ -278,10 +391,9 @@ void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
     JobCompletionRpf rpf(jv.profile, jv.goal, jv.work_done,
                          JobExecStart(snap, jv, node));
     const Utility max_u = rpf.max_utility();
-    const MHz cap = StageMaxSpeed(jv);
+    const MHz cap = stage_max_[static_cast<std::size_t>(j)];
     const MHz at_max = std::min(cap, rpf.AllocationFor(max_u));
-    local.push_back(LocalJob{snap.EntityOfJob(j), cap, jv.min_speed, rpf,
-                             max_u, at_max});
+    local.push_back(LocalJob{cap, jv.min_speed, rpf, max_u, at_max});
   }
   if (local.empty()) return;
 
@@ -333,31 +445,39 @@ void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
   for (std::size_t k = 0; k < local.size(); ++k) {
     // A job below its stage minimum speed must pause instead (§4.1).
     if (grant[k] > 0.0 && grant[k] + 1e-9 < local[k].min_alloc) grant[k] = 0.0;
-    const auto entity = static_cast<std::size_t>(local[k].entity);
-    result.loads.at(local[k].entity, node) = grant[k];
-    result.totals[entity] = grant[k];
-    result.utilities[entity] = local[k].rpf.UtilityAt(grant[k]);
+    out.push_back(grant[k]);
+    out.push_back(local[k].rpf.UtilityAt(grant[k]));
   }
 }
 
-DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p) const {
-  return Distribute(p, scratch_);
+void LoadDistributor::AssignNodeShare(std::span<const int> local_jobs,
+                                      int node, MHz share,
+                                      DistributorScratch& scratch,
+                                      DistributionResult& result) const {
+  std::vector<std::uint64_t>& key = scratch.split_key;
+  key.assign({static_cast<std::uint64_t>(node), Bits(share)});
+  for (const int j : local_jobs) key.push_back(static_cast<std::uint64_t>(j));
+  const std::uint64_t hash = DistributorScratch::Memo::Hash(key);
+  int entry = scratch.split_memo.Find(key, hash);
+  if (entry >= 0) {
+    ++scratch.stats_.split_memo_hits;
+  } else {
+    DecomposeNodeShare(local_jobs, node, share, scratch.memo_values);
+    entry = scratch.split_memo.Insert(key, hash, scratch.memo_values);
+  }
+  const std::span<const double> split = scratch.split_memo.values(entry);
+  for (std::size_t k = 0; k < local_jobs.size(); ++k) {
+    const int entity = snapshot_->EntityOfJob(local_jobs[k]);
+    result.loads.at(entity, node) = split[2 * k];
+    result.totals[static_cast<std::size_t>(entity)] = split[2 * k];
+    result.utilities[static_cast<std::size_t>(entity)] = split[2 * k + 1];
+  }
 }
 
-DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
-                                               DistributorScratch& scratch) const {
-  const PlacementSnapshot& snap = *snapshot_;
-  MWP_CHECK_MSG(snap.IsFeasible(p), "Distribute requires a feasible placement");
-  ++scratch.stats_.distribute_calls;
-  if (scratch.owner != this) {
-    // Scratch last used with a different distributor: its memo tables do
-    // not apply to this snapshot.
-    scratch.owner = this;
-    scratch.batch_demand_memo.clear();
-  }
-  std::vector<FillEntity> entities = BuildEntities(p, scratch);
+int LoadDistributor::SolveFill(DistributorScratch& scratch,
+                               std::uint64_t hash) const {
+  std::vector<FillEntity> entities = BuildEntities(scratch);
   PrepareFlowNetwork(entities, scratch);
-  const auto num_entities = static_cast<std::size_t>(snap.num_entities());
 
   std::vector<MHz>& demands = scratch.demands;
   demands.assign(entities.size(), 0.0);
@@ -393,14 +513,14 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
       // routable capacity): grant each remaining entity its max-flow share
       // of the floor demands.
       refresh_demands(kUtilityFloor);
-      std::vector<std::vector<MHz>>& routing = scratch.routing;
-      RouteDemands(entities, demands, scratch, routing);  // best-effort
+      RouteDemands(demands, scratch);  // best-effort
       for (std::size_t i = 0; i < entities.size(); ++i) {
         FillEntity& e = entities[i];
         if (!e.active) continue;
+        const DistributorScratch::Fill& f = scratch.fills[i];
         MHz granted = 0.0;
-        for (std::size_t n = 0; n < routing[i].size(); ++n) {
-          granted += routing[i][n];
+        for (int k = f.first_edge; k < f.first_edge + f.num_edges; ++k) {
+          granted += scratch.routing[static_cast<std::size_t>(k)];
         }
         e.fixed_demand = granted;
         e.fixed_utility = e.rpf->UtilityAt(granted);
@@ -481,10 +601,58 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
   for (std::size_t i = 0; i < entities.size(); ++i) {
     demands[i] = entities[i].fixed_demand;
   }
-  std::vector<std::vector<MHz>>& routing = scratch.routing;
-  const bool routed = RouteDemands(entities, demands, scratch, routing);
+  const bool routed = RouteDemands(demands, scratch);
   MWP_CHECK_MSG(routed, "final fixed demands must be routable");
 
+  // The memo entry: per entity the demand and utility assembly grants, then
+  // the routing.
+  std::vector<double>& out = scratch.memo_values;
+  out.clear();
+  for (const FillEntity& e : entities) {
+    MHz demand = e.fixed_demand;
+    Utility utility = e.fixed_utility;
+    if (e.kind == FillEntity::Kind::kJob) {
+      // A job below its stage minimum speed must pause instead (§4.1).
+      if (demand > 0.0 && demand + 1e-9 < e.min_alloc) demand = 0.0;
+      if (e.rpf != nullptr) utility = e.rpf->UtilityAt(demand);
+    }
+    out.push_back(demand);
+    out.push_back(utility);
+  }
+  out.insert(out.end(), scratch.routing.begin(), scratch.routing.end());
+  return scratch.fill_memo.Insert(scratch.fill_key, hash, out);
+}
+
+DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p) const {
+  return Distribute(p, scratch_);
+}
+
+DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
+                                               DistributorScratch& scratch) const {
+  const PlacementSnapshot& snap = *snapshot_;
+  MWP_CHECK_MSG(snap.IsFeasible(p), "Distribute requires a feasible placement");
+  ++scratch.stats_.distribute_calls;
+  if (scratch.owner != id_) {
+    // Scratch last used with a different distributor: its memo tables do
+    // not apply to this snapshot.
+    scratch.owner = id_;
+    scratch.batch_demand_memo.clear();
+    scratch.fill_memo.Clear();
+    scratch.split_memo.Clear();
+  }
+  ReadTopology(p, scratch);
+  const std::uint64_t hash = DistributorScratch::Memo::Hash(scratch.fill_key);
+  int entry = scratch.fill_memo.Find(scratch.fill_key, hash);
+  if (entry >= 0) {
+    ++scratch.stats_.fill_memo_hits;
+  } else {
+    entry = SolveFill(scratch, hash);
+  }
+  const std::span<const double> fill = scratch.fill_memo.values(entry);
+  const std::size_t num_fills = scratch.fills.size();
+  const std::span<const double> routing = fill.subspan(2 * num_fills);
+
+  const auto num_entities = static_cast<std::size_t>(snap.num_entities());
   DistributionResult result;
   result.loads = LoadMatrix(snap.num_entities(), snap.num_nodes());
   result.totals.assign(num_entities, 0.0);
@@ -496,11 +664,14 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
     result.placed[static_cast<std::size_t>(e)] = p.InstanceCount(e) > 0;
   }
 
-  for (std::size_t i = 0; i < entities.size(); ++i) {
-    const FillEntity& e = entities[i];
-    switch (e.kind) {
-      case FillEntity::Kind::kBatch: {
-        result.batch_level = e.fixed_utility;
+  for (std::size_t i = 0; i < num_fills; ++i) {
+    const DistributorScratch::Fill& f = scratch.fills[i];
+    const MHz demand = fill[2 * i];
+    const Utility utility = fill[2 * i + 1];
+    const auto edges = static_cast<std::size_t>(f.first_edge);
+    switch (f.kind) {
+      case DistributorScratch::FillKind::kBatch: {
+        result.batch_level = utility;
         // Group the placed jobs by hosting node (ascending job order, the
         // same order the per-node scan produced).
         std::vector<std::vector<int>>& groups = scratch.node_jobs;
@@ -512,31 +683,31 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
           const int n = scratch.job_node[static_cast<std::size_t>(j)];
           if (n >= 0) groups[static_cast<std::size_t>(n)].push_back(j);
         }
-        for (std::size_t n = 0; n < routing[i].size(); ++n) {
-          if (routing[i][n] > 0.0) {
-            DecomposeNodeShare(groups[n], static_cast<int>(n), routing[i][n],
-                               result);
+        for (int k = 0; k < f.num_edges; ++k) {
+          const std::size_t edge = edges + static_cast<std::size_t>(k);
+          const MHz share = routing[edge];
+          const int n = scratch.edge_node[edge];
+          if (share > 0.0) {
+            AssignNodeShare(groups[static_cast<std::size_t>(n)], n, share,
+                            scratch, result);
           }
         }
         break;
       }
-      case FillEntity::Kind::kJob: {
-        const auto entity = static_cast<std::size_t>(e.entity);
-        MHz total = e.fixed_demand;
-        // A job below its stage minimum speed must pause instead (§4.1).
-        if (total > 0.0 && total + 1e-9 < e.min_alloc) total = 0.0;
-        result.totals[entity] = total;
-        result.utilities[entity] =
-            e.rpf != nullptr ? e.rpf->UtilityAt(total) : e.fixed_utility;
-        if (total > 0.0) result.loads.at(e.entity, e.nodes.front()) = total;
+      case DistributorScratch::FillKind::kJob: {
+        result.totals[static_cast<std::size_t>(f.entity)] = demand;
+        result.utilities[static_cast<std::size_t>(f.entity)] = utility;
+        if (demand > 0.0) {
+          result.loads.at(f.entity, scratch.edge_node[edges]) = demand;
+        }
         break;
       }
-      case FillEntity::Kind::kTx: {
-        const auto entity = static_cast<std::size_t>(e.entity);
-        result.totals[entity] = e.fixed_demand;
-        result.utilities[entity] = e.fixed_utility;
-        for (std::size_t n = 0; n < routing[i].size(); ++n) {
-          result.loads.at(e.entity, static_cast<int>(n)) = routing[i][n];
+      case DistributorScratch::FillKind::kTx: {
+        result.totals[static_cast<std::size_t>(f.entity)] = demand;
+        result.utilities[static_cast<std::size_t>(f.entity)] = utility;
+        for (int k = 0; k < f.num_edges; ++k) {
+          const std::size_t edge = edges + static_cast<std::size_t>(k);
+          result.loads.at(f.entity, scratch.edge_node[edge]) = routing[edge];
         }
         break;
       }

@@ -170,30 +170,41 @@ AppId PlacementSnapshot::EntityAppId(int entity) const {
 bool PlacementSnapshot::IsFeasible(const PlacementMatrix& p) const {
   MWP_CHECK(p.num_apps() == num_entities());
   MWP_CHECK(p.num_nodes() == num_nodes());
-  for (int n = 0; n < num_nodes(); ++n) {
-    if (!node_online_[static_cast<std::size_t>(n)]) {
-      // Nothing may be placed on a crashed node; FreeMemory would also fail
-      // (available memory is 0) but only when something there uses memory.
-      for (int e = 0; e < num_entities(); ++e) {
-        if (p.at(e, n) > 0) return false;
-      }
-      continue;
-    }
-    if (FreeMemory(p, n) < -kEpsilon) return false;
-  }
-  for (int j = 0; j < num_jobs(); ++j) {
-    if (p.InstanceCount(EntityOfJob(j)) > 1) return false;
-  }
-  for (int w = 0; w < num_tx(); ++w) {
-    const int entity = EntityOfTx(w);
-    const int* row = p.RowData(entity);
+  // One row-major pass over the matrix. Each node's memory use adds the
+  // entities in ascending order, skipping zero counts, exactly as
+  // FreeMemory sums it, so the capacity test sees the same doubles.
+  const auto nodes = static_cast<std::size_t>(num_nodes());
+  std::vector<Megabytes> used(nodes, 0.0);
+  for (int e = 0; e < num_entities(); ++e) {
+    const int* row = p.RowData(e);
+    // An all-zero row (a queued job, an idle app) breaks no rule; this
+    // branch-free test skips it.
+    int any = 0;
+    for (std::size_t n = 0; n < nodes; ++n) any |= row[n];
+    if (any == 0) continue;
+    const Megabytes memory = entity_memory_[static_cast<std::size_t>(e)];
+    const bool job = IsJobEntity(e);
     int instances = 0;
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (row[n] > 1) return false;  // at most one instance per node
-      instances += row[n];
+    for (std::size_t n = 0; n < nodes; ++n) {
+      const int count = row[n];
+      if (count == 0) continue;
+      // Nothing may be placed on a crashed node.
+      if (count > 0 && !node_online_[n]) return false;
+      if (!job && count > 1) return false;  // at most one tx instance per node
+      used[n] += count * memory;
+      instances += count;
     }
-    const int cap = tx(w).max_instances;
-    if (cap > 0 && instances > cap) return false;
+    if (job) {
+      if (instances > 1) return false;
+    } else {
+      const int cap = tx(TxOfEntity(e)).max_instances;
+      if (cap > 0 && instances > cap) return false;
+    }
+  }
+  for (std::size_t n = 0; n < nodes; ++n) {
+    if (node_online_[n] && node_available_memory_[n] - used[n] < -kEpsilon) {
+      return false;
+    }
   }
   if (!constraints_.empty()) {
     for (int e = 0; e < num_entities(); ++e) {

@@ -280,10 +280,9 @@ TEST(LoadDistributorTest, HypotheticalExposedForAggregateMode) {
   EXPECT_EQ(without.hypothetical(), nullptr);
 }
 
-TEST(LoadDistributorTest, WarmProbesStayCheapOnExperimentOneShape) {
-  // Experiment One's shape: 25 paper nodes with three running jobs each and
-  // a deep queue. The candidates are the current placement and, per node,
-  // one queued job swapped in for a running one — what the search scores.
+/// Experiment One's shape: 25 paper nodes with three running jobs each and
+/// a deep queue, every job at 3,900 MHz.
+SnapshotBuilder ExperimentOneShape() {
   SnapshotBuilder b(ClusterSpec::Uniform(25, PaperNode()));
   Rng rng(1234);
   for (int j = 0; j < 125; ++j) {
@@ -296,7 +295,12 @@ TEST(LoadDistributorTest, WarmProbesStayCheapOnExperimentOneShape) {
     v.place_overhead = 3.6;
   }
   b.cycle = 600.0;
-  const PlacementSnapshot snap = b.Build();
+  return b;
+}
+
+/// The current placement and, per node, one queued job swapped in for a
+/// running one — what the search scores.
+std::vector<PlacementMatrix> SwapCandidates(const PlacementSnapshot& snap) {
   std::vector<PlacementMatrix> candidates = {snap.current_placement()};
   for (int n = 0; n < 25; ++n) {
     PlacementMatrix p = snap.current_placement();
@@ -304,12 +308,31 @@ TEST(LoadDistributorTest, WarmProbesStayCheapOnExperimentOneShape) {
     p.at(snap.EntityOfJob(75 + 2 * n), n) = 1;
     candidates.push_back(p);
   }
+  return candidates;
+}
 
+TEST(LoadDistributorTest, WarmProbesStayCheapOnExperimentOneShape) {
+  const SnapshotBuilder b = ExperimentOneShape();
+  const PlacementSnapshot snap = b.Build();
+  const std::vector<PlacementMatrix> candidates = SwapCandidates(snap);
+
+  // Every swap keeps the flow network, so one shared scratch would solve a
+  // single water-fill. A fresh scratch per candidate makes each of them
+  // solve its own.
   const LoadDistributor dist(&snap);
-  DistributorScratch scratch;
-  for (const PlacementMatrix& p : candidates) dist.Distribute(p, scratch);
-  const DistributorScratch::Stats stats = scratch.stats();
+  DistributorScratch::Stats stats;
+  for (const PlacementMatrix& p : candidates) {
+    DistributorScratch scratch;
+    dist.Distribute(p, scratch);
+    const DistributorScratch::Stats one = scratch.stats();
+    stats.distribute_calls += one.distribute_calls;
+    stats.flow_probes += one.flow_probes;
+    stats.augmentations += one.augmentations;
+    stats.cold_rechecks += one.cold_rechecks;
+    stats.fill_memo_hits += one.fill_memo_hits;
+  }
   ASSERT_EQ(stats.distribute_calls, candidates.size());
+  ASSERT_EQ(stats.fill_memo_hits, 0u);
   ASSERT_GT(stats.flow_probes, 0u);
   const double probes = static_cast<double>(stats.flow_probes);
   EXPECT_LT(static_cast<double>(stats.augmentations) / probes, 5.0)
@@ -318,6 +341,27 @@ TEST(LoadDistributorTest, WarmProbesStayCheapOnExperimentOneShape) {
   EXPECT_LT(static_cast<double>(stats.cold_rechecks) / probes, 0.05)
       << stats.cold_rechecks << " cold re-checks over " << stats.flow_probes
       << " probes";
+}
+
+TEST(LoadDistributorTest, RepeatedNetworksComeFromTheFillMemo) {
+  // Through one scratch only the first swap candidate solves a water-fill,
+  // and each later one splits only its swapped node's share anew.
+  const SnapshotBuilder b = ExperimentOneShape();
+  const PlacementSnapshot snap = b.Build();
+  const std::vector<PlacementMatrix> candidates = SwapCandidates(snap);
+
+  const LoadDistributor dist(&snap);
+  DistributorScratch scratch;
+  dist.Distribute(candidates.front(), scratch);
+  const DistributorScratch::Stats first = scratch.stats();
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    dist.Distribute(candidates[i], scratch);
+  }
+  const DistributorScratch::Stats stats = scratch.stats();
+  EXPECT_EQ(stats.distribute_calls, candidates.size());
+  EXPECT_EQ(stats.fill_memo_hits, candidates.size() - 1);
+  EXPECT_EQ(stats.flow_probes, first.flow_probes);
+  EXPECT_EQ(stats.split_memo_hits, 24u * (candidates.size() - 1));
 }
 
 TEST(LoadDistributorTest, FinalRoutingIsTheColdMaxFlow) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "tests/core/test_fixtures.h"
 
 namespace mwp {
@@ -229,6 +230,72 @@ TEST(SnapshotTest, FreeMemoryZeroOnOfflineNode) {
   const PlacementMatrix p(1, 2);
   EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 0), 0.0);
   EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 1), 2'000.0);
+}
+
+/// IsFeasible's rules checked one node and one entity at a time, through
+/// FreeMemory — the reference for the single-pass implementation.
+bool FeasibleByReference(const PlacementSnapshot& snap,
+                         const PlacementMatrix& p) {
+  for (int n = 0; n < snap.num_nodes(); ++n) {
+    if (!snap.NodeOnline(n)) {
+      for (int e = 0; e < snap.num_entities(); ++e) {
+        if (p.at(e, n) > 0) return false;
+      }
+      continue;
+    }
+    if (snap.FreeMemory(p, n) < -kEpsilon) return false;
+  }
+  for (int j = 0; j < snap.num_jobs(); ++j) {
+    if (p.InstanceCount(snap.EntityOfJob(j)) > 1) return false;
+  }
+  for (int w = 0; w < snap.num_tx(); ++w) {
+    const int entity = snap.EntityOfTx(w);
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      if (p.at(entity, n) > 1) return false;
+    }
+    const int cap = snap.tx(w).max_instances;
+    if (cap > 0 && p.InstanceCount(entity) > cap) return false;
+  }
+  return true;
+}
+
+TEST(SnapshotTest, FeasibilityMatchesPerNodeReference) {
+  // Random matrices with counts from -1 to 2 over offline, degraded and
+  // healthy nodes. Memory sizes are multiples of 250 MB, so many candidates
+  // fill a node exactly.
+  Rng rng(2024);
+  int feasible = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SnapshotBuilder b(TinyCluster(static_cast<int>(rng.UniformInt(1, 4))));
+    for (NodeId n = 1; n < b.cluster.num_nodes(); ++n) {
+      if (rng.Uniform01() < 0.25) b.cluster.SetNodeOffline(n);
+    }
+    const int jobs = static_cast<int>(rng.UniformInt(0, 5));
+    for (int j = 0; j < jobs; ++j) {
+      b.AddJob(j + 1, 4'000.0, 1'000.0, 250.0 * rng.UniformInt(1, 4), 0.0,
+               5.0);
+    }
+    const int tx = static_cast<int>(rng.UniformInt(0, 2));
+    for (int w = 0; w < tx; ++w) {
+      b.AddTx(TxSpec(100 + w, 250.0 * rng.UniformInt(1, 4)), 10.0)
+          .max_instances = static_cast<int>(rng.UniformInt(0, 2));
+    }
+    const PlacementSnapshot snap = b.Build();
+    PlacementMatrix p(snap.num_entities(), snap.num_nodes());
+    for (int e = 0; e < snap.num_entities(); ++e) {
+      for (int n = 0; n < snap.num_nodes(); ++n) {
+        const double r = rng.Uniform01();
+        p.at(e, n) = r < 0.6 ? 0 : r < 0.9 ? 1 : r < 0.95 ? 2 : -1;
+      }
+    }
+    const bool want = FeasibleByReference(snap, p);
+    EXPECT_EQ(snap.IsFeasible(p), want) << "trial " << trial << "\n"
+                                        << p.ToString();
+    feasible += want ? 1 : 0;
+  }
+  // Both verdicts occur often enough to mean something.
+  EXPECT_GT(feasible, 40);
+  EXPECT_LT(feasible, 360);
 }
 
 }  // namespace
