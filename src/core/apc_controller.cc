@@ -1,13 +1,13 @@
 #include "core/apc_controller.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
 #include "common/check.h"
 #include "common/log.h"
 #include "core/snapshot.h"
+#include "obs/stopwatch.h"
 
 namespace mwp {
 
@@ -100,8 +100,7 @@ CycleCapture ApcController::CaptureCycle(Seconds now) {
 CycleSolution ApcController::SolveCycle(
     const PlacementSnapshot& snapshot) const {
   CycleSolution solution;
-  // audit: wall-clock-ok(solver stopwatch; feeds solver_seconds metric only)
-  const auto wall_start = std::chrono::steady_clock::now();
+  const obs::Stopwatch stopwatch;
   if (config_.shard_cell_size > 0) {
     ShardedPlacementOptimizer::Options shard_options;
     shard_options.cell_size = config_.shard_cell_size;
@@ -119,10 +118,7 @@ CycleSolution ApcController::SolveCycle(
     const PlacementOptimizer optimizer(&snapshot, config_.optimizer);
     solution.result = optimizer.Optimize();
   }
-  // audit: wall-clock-ok(solver stopwatch; feeds solver_seconds metric only)
-  const auto wall_end = std::chrono::steady_clock::now();
-  solution.solver_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+  solution.solver_seconds = stopwatch.Elapsed();
   return solution;
 }
 

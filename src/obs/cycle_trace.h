@@ -9,8 +9,8 @@
 // records to a TraceRecorder; exporters (trace_export.h) serialize the
 // collected run.
 //
-// All times are simulation seconds except solver_seconds, which is the
-// controller's allowlisted solver stopwatch (host wall time by intent).
+// All times are simulation seconds except solver_seconds and
+// cell_solver_seconds, which are host wall time by intent (obs::Stopwatch).
 #pragma once
 
 #include <cstdint>

@@ -24,75 +24,161 @@ void AddDetail(CycleReplayDiff& diff, std::string line) {
   }
 }
 
-/// Sanity-checks the recorded input/decision shape before reconstruction;
-/// a trace edited by hand (or produced by a buggy exporter) must be
-/// reported, not crash the harness through an MWP_CHECK.
-bool ValidInputShape(const obs::CycleInputRecord& in,
-                     const obs::CycleDecisionRecord& decision,
-                     CycleReplayDiff& diff) {
+bool AllFinite(const std::vector<double>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
+/// Sanity-checks the recorded cycle before reconstruction; a trace edited by
+/// hand (or produced by a buggy exporter) must be reported, not crash the
+/// harness through an MWP_CHECK or replay as agreement. The value checks
+/// mirror the contracts of the objects ReconstructedCycle builds (ClusterSpec
+/// health, JobProfile stages, TransactionalApp, the solver options); they are
+/// written `!(x > 0)` so NaN (a JSON null) fails them too.
+bool ValidInputShape(const obs::CycleTrace& trace, CycleReplayDiff& diff) {
+  const obs::CycleInputRecord& in = *trace.input;
+  const obs::CycleDecisionRecord& decision = *trace.decision;
+  const auto reject = [&diff](const std::string& why) {
+    AddDetail(diff, why);
+    return false;
+  };
   const int num_nodes = static_cast<int>(in.nodes.size());
   const int num_entities =
       static_cast<int>(in.jobs.size() + in.tx_apps.size());
-  if (num_nodes <= 0) {
-    AddDetail(diff, "input has no nodes");
-    return false;
+  if (num_nodes <= 0) return reject("input has no nodes");
+  if (!(in.control_cycle > 0.0)) {
+    return reject("input control_cycle is not positive");
   }
-  if (in.control_cycle <= 0.0) {
-    AddDetail(diff, "input control_cycle is not positive");
-    return false;
+  if (!std::isfinite(in.now)) return reject("input now is not finite");
+  for (int n = 0; n < num_nodes; ++n) {
+    const obs::TraceNodeInput& node = in.nodes[static_cast<std::size_t>(n)];
+    if (node.num_cpus < 0 || !(node.cpu_speed >= 0.0) ||
+        !(node.memory >= 0.0)) {
+      return reject("node " + std::to_string(n) +
+                    " has a negative cpus, speed or memory");
+    }
+    if (node.state == static_cast<int>(NodeState::kDegraded) &&
+        !(node.speed_factor > 0.0 && node.speed_factor <= 1.0)) {
+      return reject("degraded node " + std::to_string(n) +
+                    " has speed_factor " + std::to_string(node.speed_factor) +
+                    " outside (0, 1]");
+    }
   }
   for (const obs::TraceJobInput& job : in.jobs) {
-    if (job.stages.empty()) {
-      AddDetail(diff, "job " + std::to_string(job.id) + " has no stages");
-      return false;
+    const std::string name = "job " + std::to_string(job.id);
+    if (job.stages.empty()) return reject(name + " has no stages");
+    if (!(job.work_done >= 0.0)) return reject(name + " has negative work_done");
+    if (!(job.memory >= 0.0) || !(job.max_speed > 0.0) ||
+        !(job.min_speed >= 0.0 && job.min_speed <= job.max_speed) ||
+        !(job.place_overhead >= 0.0) || !(job.migrate_overhead >= 0.0)) {
+      return reject(name + " has negative memory or overheads, or speeds "
+                           "outside 0 <= min_speed <= max_speed, max_speed > 0");
     }
-    if (job.current_node >= num_nodes) {
-      AddDetail(diff, "job " + std::to_string(job.id) +
-                          " placed on out-of-range node " +
-                          std::to_string(job.current_node));
-      return false;
+    const bool placed = job.status == static_cast<int>(JobStatus::kRunning) ||
+                        job.status == static_cast<int>(JobStatus::kPaused);
+    if (job.current_node < kInvalidNode || job.current_node >= num_nodes ||
+        (placed && job.current_node == kInvalidNode)) {
+      return reject(name + " placed on out-of-range node " +
+                    std::to_string(job.current_node));
+    }
+    for (const obs::TraceStageInput& st : job.stages) {
+      if (!(st.work > 0.0) || !(st.max_speed > 0.0) ||
+          !(st.min_speed >= 0.0 && st.min_speed <= st.max_speed) ||
+          !(st.memory >= 0.0)) {
+        return reject(name + " has a stage with non-positive work or "
+                             "max_speed, min_speed outside [0, max_speed], "
+                             "or negative memory");
+      }
     }
   }
   for (const obs::TraceTxInput& tx : in.tx_apps) {
+    const std::string name = "tx app " + std::to_string(tx.id);
     for (const NodeId n : tx.current_nodes) {
       if (n < 0 || n >= num_nodes) {
-        AddDetail(diff, "tx app " + std::to_string(tx.id) +
-                            " instance on out-of-range node " +
-                            std::to_string(n));
-        return false;
+        return reject(name + " instance on out-of-range node " +
+                      std::to_string(n));
       }
     }
+    if (tx.id == kInvalidApp || tx.name.empty() || !(tx.memory >= 0.0) ||
+        !(tx.response_time_goal > 0.0) || !(tx.demand_per_request > 0.0) ||
+        !(tx.min_response_time >= 0.0 &&
+          tx.min_response_time < tx.response_time_goal) ||
+        tx.max_instances < 0) {
+      return reject(name + " has an invalid spec (id, name, memory, "
+                           "response times, demand or max_instances)");
+    }
+  }
+  for (const auto& [a, b] : in.separations) {
+    if (a == b) {
+      return reject("app " + std::to_string(a) + " separated from itself");
+    }
+  }
+  const obs::TraceSolverOptions& opt = in.options;
+  if (opt.max_sweeps < 1 || opt.max_changes_per_node < 1 ||
+      opt.max_wishes_tried < 1 || opt.max_migrations_tried < 0 ||
+      !(opt.tie_tolerance >= 0.0) || !(opt.level_tolerance > 0.0) ||
+      !(opt.probe_delta > 0.0) || opt.bisection_iters < 1) {
+    return reject("solver options out of range");
   }
   for (const obs::TracePlacementCell& cell : decision.placement) {
     if (cell.entity < 0 || cell.entity >= num_entities || cell.node < 0 ||
         cell.node >= num_nodes || cell.count <= 0) {
-      AddDetail(diff, "decision cell [" + std::to_string(cell.entity) + "," +
-                          std::to_string(cell.node) + "," +
-                          std::to_string(cell.count) +
-                          "] out of range for input");
-      return false;
+      return reject("decision cell [" + std::to_string(cell.entity) + "," +
+                    std::to_string(cell.node) + "," +
+                    std::to_string(cell.count) + "] out of range for input");
     }
   }
+  std::vector<std::pair<int, int>> cells;
+  cells.reserve(decision.placement.size());
+  for (const obs::TracePlacementCell& cell : decision.placement) {
+    cells.emplace_back(cell.entity, cell.node);
+  }
+  std::sort(cells.begin(), cells.end());
+  if (const auto dup = std::adjacent_find(cells.begin(), cells.end());
+      dup != cells.end()) {
+    return reject("decision lists cell [" + std::to_string(dup->first) + "," +
+                  std::to_string(dup->second) + "] twice");
+  }
+  if (!AllFinite(decision.allocations) || !AllFinite(trace.rp_after)) {
+    return reject("recorded allocations or rp_after hold a non-finite value");
+  }
   if (decision.allocations.size() != static_cast<std::size_t>(num_entities)) {
-    AddDetail(diff, "decision allocations length " +
-                        std::to_string(decision.allocations.size()) +
-                        " != entities " + std::to_string(num_entities));
-    return false;
+    return reject("decision allocations length " +
+                  std::to_string(decision.allocations.size()) +
+                  " != entities " + std::to_string(num_entities));
   }
   // Objective mismatches are shape regressions, not crashes: a trace from a
   // newer build (or a hand-edited one) naming an objective this build does
   // not know cannot be faithfully re-solved.
   if (!ValidFairnessObjectiveId(in.options.objective)) {
-    AddDetail(diff, "unknown fairness objective id " +
-                        std::to_string(in.options.objective));
-    return false;
+    return reject("unknown fairness objective id " +
+                  std::to_string(in.options.objective));
   }
   if (!in.fairness_credits.empty() &&
       in.fairness_credits.size() != static_cast<std::size_t>(num_entities)) {
-    AddDetail(diff, "credits length " +
-                        std::to_string(in.fairness_credits.size()) +
-                        " != entities " + std::to_string(num_entities));
+    return reject("credits length " +
+                  std::to_string(in.fairness_credits.size()) +
+                  " != entities " + std::to_string(num_entities));
+  }
+  return true;
+}
+
+/// The checks that need the reconstructed snapshot: every search starts by
+/// distributing CPU over the current placement, which must fit the
+/// health-adjusted cluster, and every job must have work left (completed
+/// jobs cannot enter the hypothetical RPF).
+bool ValidSnapshot(const PlacementSnapshot& snapshot, CycleReplayDiff& diff) {
+  if (!snapshot.IsFeasible(snapshot.current_placement())) {
+    AddDetail(diff, "recorded current placement does not fit the cluster");
     return false;
+  }
+  for (int j = 0; j < snapshot.num_jobs(); ++j) {
+    const JobView& job = snapshot.job(j);
+    if (!(job.profile->RemainingWork(job.work_done) > kEpsilon)) {
+      AddDetail(diff, "job " + std::to_string(job.id) +
+                          " has no work left to place");
+      return false;
+    }
   }
   return true;
 }
@@ -252,7 +338,7 @@ CycleReplayDiff ReplayCycle(const obs::CycleTrace& trace,
     return diff;  // not a --trace-full record: nothing to replay
   }
   diff.replayed = true;
-  if (!ValidInputShape(*trace.input, *trace.decision, diff)) {
+  if (!ValidInputShape(trace, diff)) {
     diff.shape_mismatch = true;
     diff.verdict = Verdict::kWorse;
     return diff;
@@ -260,6 +346,11 @@ CycleReplayDiff ReplayCycle(const obs::CycleTrace& trace,
 
   ReconstructedCycle cycle(*trace.input);
   const PlacementSnapshot& snapshot = cycle.snapshot();
+  if (!ValidSnapshot(snapshot, diff)) {
+    diff.shape_mismatch = true;
+    diff.verdict = Verdict::kWorse;
+    return diff;
+  }
   PlacementOptimizer::Options solver_options =
       cycle.OptimizerOptions(options.search_threads);
   if (options.override_tie_tolerance.has_value()) {

@@ -9,6 +9,9 @@
 #include <sstream>
 #include <utility>
 
+#include "batch/job.h"
+#include "cluster/cluster.h"
+
 namespace mwp::replay {
 namespace {
 
@@ -312,6 +315,17 @@ Int GetInt(Ctx& ctx, const JsonValue& obj, const char* key) {
   return AsInt<Int>(ctx, Get(ctx, obj, key), key);
 }
 
+/// An enum stored as its integer value: anything outside [0, last] names no
+/// enumerator and is an error.
+int GetEnum(Ctx& ctx, const JsonValue& obj, const char* key, int last) {
+  const int value = GetInt<int>(ctx, obj, key);
+  if (ctx.ok && (value < 0 || value > last)) {
+    ctx.Fail(std::string("key '") + key + "' is outside 0.." +
+             std::to_string(last));
+  }
+  return value;
+}
+
 bool GetBool(Ctx& ctx, const JsonValue& obj, const char* key) {
   const JsonValue* value = Get(ctx, obj, key);
   if (value == nullptr) return false;
@@ -377,7 +391,8 @@ obs::CycleInputRecord ReadInput(Ctx& ctx, const JsonValue& obj) {
     node.num_cpus = GetInt<int>(ctx, n, "cpus");
     node.cpu_speed = GetDouble(ctx, n, "speed");
     node.memory = GetDouble(ctx, n, "memory");
-    node.state = GetInt<int>(ctx, n, "state");
+    node.state =
+        GetEnum(ctx, n, "state", static_cast<int>(NodeState::kOffline));
     node.speed_factor = GetDouble(ctx, n, "speed_factor");
     in.nodes.push_back(node);
   }
@@ -389,7 +404,8 @@ obs::CycleInputRecord ReadInput(Ctx& ctx, const JsonValue& obj) {
     job.desired_start = GetDouble(ctx, j, "desired_start");
     job.completion_goal = GetDouble(ctx, j, "completion_goal");
     job.work_done = GetDouble(ctx, j, "work_done");
-    job.status = GetInt<int>(ctx, j, "status");
+    job.status =
+        GetEnum(ctx, j, "status", static_cast<int>(JobStatus::kCompleted));
     job.current_node = GetInt<NodeId>(ctx, j, "node");
     job.overhead_until = GetDouble(ctx, j, "overhead_until");
     job.place_overhead = GetDouble(ctx, j, "place_overhead");

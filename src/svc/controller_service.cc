@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/log.h"
+#include "obs/stopwatch.h"
 
 namespace mwp {
 
@@ -23,19 +24,8 @@ ControllerService::ControllerService(ApcController* controller, Config config)
 
 ControllerService::~ControllerService() { Stop(); }
 
-std::uint64_t ControllerService::NowNs() {
-  // Real-time latency stopwatch (mwp_lint MWP002 allowlisted): the
-  // event-to-decision histogram measures the service itself, like the
-  // solver stopwatch measures the optimizer. Never feeds simulated time.
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // audit: wall-clock-ok(latency stopwatch; never feeds simulated time)
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 bool ControllerService::Publish(ControlEvent event) {
-  event.publish_ns = NowNs();
+  event.publish_ns = obs::Stopwatch::NowNs();
   return inbox_.TryPush(event);
 }
 
@@ -362,7 +352,7 @@ void ControllerService::ObserveLatencies(
   if (config_.metrics == nullptr || stamps.empty()) return;
   obs::Histogram& h =
       config_.metrics->histogram("svc.event_to_decision_seconds");
-  const std::uint64_t end = NowNs();
+  const std::uint64_t end = obs::Stopwatch::NowNs();
   for (const std::uint64_t start : stamps) {
     h.Observe(start < end ? static_cast<double>(end - start) * 1e-9 : 0.0);
   }

@@ -151,8 +151,6 @@ class ControllerService {
   void FinishOutstanding();
   void ObserveLatencies(const std::vector<std::uint64_t>& stamps);
 
-  static std::uint64_t NowNs();
-
   ApcController* controller_;
   Config config_;
   EventInbox inbox_;

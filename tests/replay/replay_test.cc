@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "exp/experiment1.h"
 #include "obs/cycle_trace.h"
 #include "obs/trace_export.h"
@@ -157,6 +161,133 @@ TEST(ReplayTest, MalformedDecisionShapeIsRegressionNotCrash) {
   const CycleReplayDiff cell_diff = ReplayCycle(bad_cell, options);
   EXPECT_TRUE(cell_diff.shape_mismatch);
   EXPECT_TRUE(cell_diff.Regressed(options));
+}
+
+TEST(ReplayTest, HostileInputIsRejectedNotCrash) {
+  // Each row edits the busiest cycle of a golden trace the way a hand edit
+  // or a buggy exporter might, then takes it through the CLI's path: export,
+  // parse + ValidateTrace (`replay_apc --validate`), replay (`--trace`).
+  // Out-of-range enums must fail the reader. Every other edit passes the
+  // schema but breaks a library contract or would compare as agreement, so
+  // replay must report a shape mismatch instead of aborting through an
+  // MWP_CHECK or calling the cycle "equal".
+  std::string error;
+  const auto golden = ParseTraceFile(
+      std::string(MWP_GOLDEN_TRACE_DIR) + "/exp1_small.jsonl", &error);
+  ASSERT_TRUE(golden.has_value()) << error;
+  std::size_t busy = 0;
+  int most_placed = 0;
+  for (std::size_t i = 0; i < golden->cycles.size(); ++i) {
+    if (!golden->cycles[i].input.has_value()) continue;
+    int placed = 0;
+    for (const obs::TraceJobInput& job : golden->cycles[i].input->jobs) {
+      if (job.current_node >= 0) ++placed;
+    }
+    if (placed > most_placed) {
+      busy = i;
+      most_placed = placed;
+    }
+  }
+  ASSERT_GE(most_placed, 2);
+  const auto placed_job = [](obs::CycleInputRecord& in) -> obs::TraceJobInput& {
+    return *std::find_if(in.jobs.begin(), in.jobs.end(),
+                         [](const obs::TraceJobInput& j) {
+                           return j.current_node >= 0;
+                         });
+  };
+  const auto degrade = [](double factor) {
+    return [factor](obs::CycleTrace& t) {
+      t.input->nodes[0].state = static_cast<int>(NodeState::kDegraded);
+      t.input->nodes[0].speed_factor = factor;
+    };
+  };
+  struct Mutant {
+    const char* name;
+    std::function<void(obs::CycleTrace&)> edit;
+    bool reader_rejects = false;
+  };
+  const std::vector<Mutant> mutants = {
+      {"job node -5",
+       [&](obs::CycleTrace& t) { placed_job(*t.input).current_node = -5; }},
+      {"job memory 1e9",
+       [&](obs::CycleTrace& t) { placed_job(*t.input).memory = 1e9; }},
+      {"every job on one node",
+       [](obs::CycleTrace& t) {
+         for (obs::TraceJobInput& job : t.input->jobs) {
+           if (job.current_node >= 0) job.current_node = 0;
+         }
+       }},
+      {"stage work -1",
+       [&](obs::CycleTrace& t) {
+         placed_job(*t.input).stages[0].work = -1.0;
+       }},
+      {"stage max_speed -5",
+       [&](obs::CycleTrace& t) {
+         placed_job(*t.input).stages[0].max_speed = -5.0;
+       }},
+      {"stage min_speed above max_speed",
+       [&](obs::CycleTrace& t) {
+         obs::TraceStageInput& stage = placed_job(*t.input).stages[0];
+         stage.min_speed = stage.max_speed * 2.0;
+       }},
+      {"degraded node speed_factor 0", degrade(0.0)},
+      {"degraded node speed_factor 2", degrade(2.0)},
+      {"node speed -100",
+       [](obs::CycleTrace& t) { t.input->nodes[0].cpu_speed = -100.0; }},
+      {"bisection_iters 0",
+       [](obs::CycleTrace& t) { t.input->options.bisection_iters = 0; }},
+      {"work_done -1",
+       [&](obs::CycleTrace& t) { placed_job(*t.input).work_done = -1.0; }},
+      {"work_done past the job's total work",
+       [&](obs::CycleTrace& t) { placed_job(*t.input).work_done = 1e12; }},
+      {"now NaN",
+       [](obs::CycleTrace& t) {
+         t.input->now = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"app separated from itself",
+       [&](obs::CycleTrace& t) {
+         const AppId id = placed_job(*t.input).id;
+         t.input->separations.emplace_back(id, id);
+       }},
+      {"job memory -1",
+       [&](obs::CycleTrace& t) { placed_job(*t.input).memory = -1.0; }},
+      {"job max_speed -1",
+       [&](obs::CycleTrace& t) { placed_job(*t.input).max_speed = -1.0; }},
+      {"decision lists a cell twice",
+       [](obs::CycleTrace& t) {
+         t.decision->placement.push_back(t.decision->placement[0]);
+       }},
+      {"rp_after NaN",
+       [](obs::CycleTrace& t) {
+         t.rp_after[0] = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"node state 9", [](obs::CycleTrace& t) { t.input->nodes[0].state = 9; },
+       true},
+      {"job status 7",
+       [&](obs::CycleTrace& t) { placed_job(*t.input).status = 7; }, true},
+  };
+  const ReplayOptions options;
+  for (const Mutant& mutant : mutants) {
+    SCOPED_TRACE(mutant.name);
+    std::vector<obs::CycleTrace> cycles = golden->cycles;
+    mutant.edit(cycles[busy]);
+    std::ostringstream os;
+    obs::WriteTraceJsonl(os, golden->context, cycles);
+    std::string parse_error;
+    const auto parsed = ParseTraceJsonl(os.str(), &parse_error);
+    if (mutant.reader_rejects) {
+      EXPECT_FALSE(parsed.has_value());
+      EXPECT_NE(parse_error.find("is outside 0.."), std::string::npos)
+          << parse_error;
+      continue;
+    }
+    ASSERT_TRUE(parsed.has_value()) << parse_error;
+    EXPECT_EQ(ValidateTrace(*parsed, 1), "");
+    const CycleReplayDiff diff = ReplayCycle(parsed->cycles[busy], options);
+    EXPECT_TRUE(diff.shape_mismatch);
+    EXPECT_TRUE(diff.Regressed(options));
+    EXPECT_FALSE(diff.details.empty());
+  }
 }
 
 TEST(ReplayTest, ReportNamesRegressedCycles) {

@@ -1,7 +1,6 @@
-// Minimal stand-ins for the project's concurrency types so the corpus
-// parses standalone under libclang; the builtin engine only tokenizes.
-// Mirrors src/common/thread_annotations.h and src/core/thread_pool.h just
-// enough for the audited patterns to be realistic.
+// Minimal stand-ins for the project's concurrency types. Mirrors
+// src/common/thread_annotations.h and src/core/thread_pool.h just enough
+// for the audited patterns to be realistic.
 #ifndef TOOLS_ANALYSIS_CORPUS_AUDIT_STUBS_H_
 #define TOOLS_ANALYSIS_CORPUS_AUDIT_STUBS_H_
 

@@ -8,6 +8,7 @@
 
 namespace corpus {
 
+// Positive: naming a host clock at all, here in an alias declaration.
 using Clock = std::chrono::steady_clock;
 
 // Positive ×2: a wall-clock read laundered through a type alias (the

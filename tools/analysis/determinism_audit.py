@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Determinism and lock-order auditor for the mixed-workload-placement tree.
+"""Static-analysis gate for the mixed-workload-placement tree.
 
 The replay harness (docs/ALGORITHMS.md §12) re-executes recorded optimizer
 inputs and diffs decisions at zero tolerance; the sharded optimizer promises
 thread-count-invariant solves; the event-driven service promises quiescent
-bit-exactness. All three rest on one unchecked invariant: decision-path code
-must be deterministic. `mwp_lint.py` enforces line-level conventions by
-regex; this auditor works at the AST level (token/scope analysis in the
-builtin engine, real clang AST via libclang when available) and enforces the
-hazards regexes cannot see:
+bit-exactness. All three rest on one invariant: decision-path code must be
+deterministic. This auditor enforces it, plus the project's source
+conventions, with one token/scope engine and one allowlist grammar:
 
 AUD-D1  Unordered-container iteration order. Range-for / `.begin()`
         traversal of a `std::unordered_map`/`unordered_set` feeds
@@ -21,11 +19,16 @@ AUD-D2  Address-based ordering. Comparators that compare pointer *values*
         `std::less<T*>`) order by allocation address: different run,
         different order. Compare a stable field, or justify with
         `// audit: address-stable(<reason>)`.
-AUD-D3  Nondeterministic sources in decision code. `std::random_device`,
-        `rand()`/`srand()`, `time(nullptr)` and `std::chrono::*_clock::now`
-        — including calls through type aliases (`using Clock = ...`), which
-        the regex linter cannot follow. The solver stopwatches are
-        observability-only and carry `// audit: wall-clock-ok(<reason>)`.
+AUD-D3  Nondeterministic sources. `std::random_device`, `rand()`/`srand()`,
+        `time(nullptr)` and raw standard engines (`std::mt19937(_64)`,
+        `minstd_rand0?`, `ranlux*`, `knuth_b`, `default_random_engine`)
+        break single-seed reproducibility: all randomness flows through
+        mwp::Rng (common/rng.h, whose engine carries
+        `// audit: rng-engine-ok(<reason>)`). Any `*_clock` of std::chrono,
+        and `now()` through a clock alias (`using Clock = ...`), makes
+        results depend on the host: simulated time is the only time, and
+        host-time measurement goes through obs::Stopwatch
+        (obs/stopwatch.h, the one `// audit: wall-clock-ok(<reason>)`).
 AUD-D4  Order-dependent accumulation in parallel lanes. A compound
         assignment (`+=`, `-=`, `*=`, `/=`) to state captured by a lambda
         that runs on the ThreadPool (`ParallelFor` / `TrySubmit`) is either
@@ -36,34 +39,36 @@ AUD-D4  Order-dependent accumulation in parallel lanes. A compound
 AUD-L1  GUARDED_BY coverage. In a class that owns a `Mutex`, every mutable
         co-located field must name its guard (`MWP_GUARDED_BY` /
         `MWP_PT_GUARDED_BY`) or be exempt by construction (const, atomic,
-        condition_variable, the mutex itself). Extends PR 3's opt-in
-        annotations to an exhaustive contract. Escape hatch:
+        condition_variable, the mutex itself). Escape hatch:
         `// audit: not-guarded(<reason>)`.
 AUD-L2  Lock-order cycles. A directed graph is mined from the nesting of
         annotated `MutexLock` scopes plus declared
         `MWP_ACQUIRED_BEFORE(...)` edges; any cycle is a potential
         deadlock. Suppress a single intentionally-reversed edge with
         `// audit: lock-order-ok(<reason>)` on the inner acquisition.
+MWP003  No raw `assert` — contract violations must throw through
+        `MWP_CHECK`/`MWP_DCHECK` so they carry file/line/message context
+        and stay active in Release (assert vanishes with NDEBUG).
+MWP004  No iostream in hot-path modules (`src/core/`, `src/rpf/`) — logging
+        there goes through MWP_LOG_* (leveled, mutex-guarded).
+MWP005  Units at API boundaries — headers declare time-like quantities as
+        `Seconds` (common/units.h), not raw `double`. Dimensionless names
+        (factors, ratios, rates) are exempt.
 AUD900  Stale allowlist: an `// audit:` annotation that suppresses no
         finding is an error — allowlists must shrink with the code.
 AUD901  Malformed allowlist: unknown tag or empty reason.
 
-Allowlist grammar: `// audit: <tag>(<reason>)` on the flagged line, or on
-its own comment line directly above. Tags: order-insensitive,
-address-stable, wall-clock-ok, order-fixed, not-guarded, lock-order-ok.
-The reason is mandatory; the tool verifies every annotation attaches to a
-real finding (AUD900 otherwise).
+MWP003–MWP005 are line rules over comment- and string-blanked source and
+have no audit tag: nothing in the tree needs an exception to them.
 
-Engines:
-  --engine builtin    pure-Python token/scope analysis (no dependencies)
-  --engine libclang   clang.cindex over compile_commands.json
-  --engine auto       libclang when importable, builtin otherwise (default)
-Both engines feed the same rule set and allowlist machinery; the self-test
-corpus (tools/analysis/corpus/) pins their findings to a golden JSON.
+Allowlist grammar: `// audit: <tag>(<reason>)` on the flagged line, or on
+its own comment line directly above. The reason is mandatory; the tool
+verifies every annotation attaches to a real finding (AUD900 otherwise).
+The self-test corpus (tools/analysis/corpus/) pins the findings to a golden
+JSON and requires every rule id to fire.
 
 Usage:
-    determinism_audit.py [--root DIR] [--compdb build/compile_commands.json]
-                         [--engine auto|builtin|libclang] [--json OUT]
+    determinism_audit.py [--root DIR] [--json OUT]
     determinism_audit.py --self-test
 
 Exit status: 0 clean, 1 findings/stale allowlist (or self-test failure),
@@ -83,37 +88,63 @@ from pathlib import Path
 
 AUDIT_COMMENT = re.compile(r"//\s*audit:\s*(?P<tag>[a-z-]+)\s*\((?P<reason>[^)]*)\)")
 
-TAG_TO_RULE = {
-    "order-insensitive": "AUD-D1",
-    "address-stable": "AUD-D2",
-    "wall-clock-ok": "AUD-D3",
-    "order-fixed": "AUD-D4",
-    "not-guarded": "AUD-L1",
-    "lock-order-ok": "AUD-L2",
+# Every rule id the auditor reports, with the `// audit:` tags that may
+# excuse its findings (none where no code in the tree needs an exception).
+# A finding names the one tag that excuses it: the rule's first, unless the
+# rule passes another.
+RULES = {
+    "AUD-D1": ("order-insensitive",),
+    "AUD-D2": ("address-stable",),
+    "AUD-D3": ("wall-clock-ok", "rng-engine-ok"),
+    "AUD-D4": ("order-fixed",),
+    "AUD-L1": ("not-guarded",),
+    "AUD-L2": ("lock-order-ok",),
+    "MWP003": (),
+    "MWP004": (),
+    "MWP005": (),
+    "AUD900": (),
+    "AUD901": (),
 }
+AUDIT_TAGS = {tag for tags in RULES.values() for tag in tags}
 
-AUDIT_DIRS = ("src",)
+AUDIT_DIRS = ("src", "bench", "examples")
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 
 UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset"}
 CLOCK_NAMES = {"steady_clock", "system_clock", "high_resolution_clock"}
+RNG_ENGINE = re.compile(r"mt19937(?:_64)?|minstd_rand0?|ranlux\d+(?:_base)?"
+                        r"|knuth_b|default_random_engine")
 PARALLEL_ENTRY_CALLS = {"ParallelFor", "TrySubmit"}
 COMPOUND_ASSIGN = {"+=", "-=", "*=", "/="}
 RELATIONAL = {"<", ">", "<=", ">="}
 
+ASSERT_PATTERN = re.compile(r"(?<![\w_])assert\s*\(")
+IOSTREAM_PATTERNS = [
+    (re.compile(r"#\s*include\s*<iostream>"), "#include <iostream>"),
+    (re.compile(r"std::(cout|cerr|clog)\b"), "std::cout/cerr/clog"),
+]
+HOT_PATH_MODULES = ("src/core/", "src/rpf/")
+# Time-like identifiers that must be declared `Seconds`, unless the name
+# marks them dimensionless (factor/ratio/rate/...).
+UNITS_TIME_NAME = re.compile(
+    r"\bdouble\s+(?P<name>\w*(?:_time|_seconds|response_time|deadline|"
+    r"duration|timeout)\w*|time|deadline|duration|timeout)\s*[;=,)]")
+UNITS_EXEMPT_NAME = re.compile(
+    r"factor|ratio|fraction|rate|satisf|scale|per_|_per|weight|share")
+
 
 class Finding:
-    def __init__(self, rule: str, file: str, line: int, message: str):
+    def __init__(self, rule: str, file: str, line: int, message: str,
+                 tag: str | None = None):
         self.rule = rule
         self.file = file  # POSIX path relative to the audited root
         self.line = line
         self.message = message
+        tags = RULES.get(rule, ())
+        self.tag = tag or (tags[0] if tags else None)  # excusing tag
         self.allowlisted = False
         self.reason = ""
-
-    def key(self):
-        return (self.rule, self.file, self.line)
 
     def __str__(self) -> str:
         mark = " (allowlisted: %s)" % self.reason if self.allowlisted else ""
@@ -244,21 +275,19 @@ def skip_template_group(tokens, i):
     return i
 
 
-# --- builtin engine ---------------------------------------------------------
+# --- engine -----------------------------------------------------------------
 
-class BuiltinEngine:
+class Auditor:
     """Pure-Python token/scope analysis. Two passes: pass one collects
-    cross-file facts (names declared with unordered types, clock aliases);
-    pass two emits findings per file."""
-
-    name = "builtin"
+    cross-file facts (names declared with unordered types, clock aliases)
+    and applies the line rules; pass two emits token-rule findings per
+    file."""
 
     def __init__(self, root: Path, files: list[Path]):
         self.root = root
         self.files = files
         self.unordered_names: set[str] = set()
         self.clock_aliases: dict[str, set[str]] = {}  # file -> alias names
-        self._parsed: dict[str, list] = {}
 
     def run(self):
         findings: list[Finding] = []
@@ -278,6 +307,7 @@ class BuiltinEngine:
             parsed.append((rel, tokens))
             for line_no, tag, reason, targets in annos:
                 annotations.append(Annotation(rel, line_no, tag, reason, targets))
+            findings.extend(self._line_rules(rel, code_lines))
             self._collect_unordered_names(tokens)
             self.clock_aliases[rel] = self._collect_clock_aliases(tokens)
         for rel, tokens in parsed:
@@ -290,6 +320,33 @@ class BuiltinEngine:
             lock_edges.extend(obs)
             declared_edges.extend(dec)
         return findings, annotations, lock_edges, declared_edges
+
+    # -- MWP003..MWP005: line rules --
+
+    @staticmethod
+    def _line_rules(rel, code_lines):
+        findings = []
+        for line_no, line in enumerate(code_lines, start=1):
+            if ASSERT_PATTERN.search(line) and "static_assert" not in line:
+                findings.append(Finding(
+                    "MWP003", rel, line_no,
+                    "raw assert(); use MWP_CHECK (always on) or MWP_DCHECK "
+                    "(hot paths) from common/check.h"))
+            if rel.startswith(HOT_PATH_MODULES):
+                for pattern, what in IOSTREAM_PATTERNS:
+                    if pattern.search(line):
+                        findings.append(Finding(
+                            "MWP004", rel, line_no,
+                            f"{what} in hot-path module; use MWP_LOG_* from "
+                            "common/log.h"))
+            if rel.endswith(".h"):
+                match = UNITS_TIME_NAME.search(line)
+                if match and not UNITS_EXEMPT_NAME.search(match.group("name")):
+                    findings.append(Finding(
+                        "MWP005", rel, line_no,
+                        f"time-like '{match.group('name')}' declared as raw "
+                        "double; use the Seconds alias from common/units.h"))
+        return findings
 
     # -- shared fact collection --
 
@@ -527,29 +584,36 @@ class BuiltinEngine:
                     "AUD-D3", rel, line,
                     "std::random_device in decision-path code: "
                     "hardware entropy breaks seeded replay; draw from "
-                    "mwp::Rng"))
+                    "mwp::Rng", tag="rng-engine-ok"))
+            elif RNG_ENGINE.fullmatch(t) and prev == "::" and i >= 2 \
+                    and tokens[i - 2][0] == "std":
+                findings.append(Finding(
+                    "AUD-D3", rel, line,
+                    f"raw standard engine std::{t} outside mwp::Rng breaks "
+                    "seeded reproducibility; draw from mwp::Rng",
+                    tag="rng-engine-ok"))
             elif t in {"rand", "srand"} and nxt == "(" and prev not in {
                     ".", "->", "::"}:
                 findings.append(Finding(
                     "AUD-D3", rel, line,
                     f"{t}() in decision-path code breaks seeded replay; "
-                    "draw from mwp::Rng"))
-            elif t == "now" and nxt == "(" and prev == "::" and i >= 2:
-                owner = tokens[i - 2][0]
-                if owner in CLOCK_NAMES or owner in aliases:
-                    via = f" (via alias '{owner}')" if owner in aliases else ""
-                    findings.append(Finding(
-                        "AUD-D3", rel, line,
-                        f"wall-clock read{via} in decision-path code: "
-                        "results would depend on the host; simulated time "
-                        "only, or justify an observability stopwatch with "
-                        "// audit: wall-clock-ok(<reason>)"))
+                    "draw from mwp::Rng", tag="rng-engine-ok"))
             elif t == "time" and nxt == "(" and prev not in {".", "->", "::"} \
                     and i + 2 < n and tokens[i + 2][0] in {"nullptr", "NULL", "0"}:
                 findings.append(Finding(
                     "AUD-D3", rel, line,
                     "time(nullptr) in decision-path code breaks seeded "
-                    "replay; draw from mwp::Rng"))
+                    "replay; draw from mwp::Rng", tag="rng-engine-ok"))
+            elif t in CLOCK_NAMES or (
+                    t == "now" and nxt == "(" and prev == "::" and i >= 2
+                    and tokens[i - 2][0] in aliases):
+                what = f"'{t}'" if t in CLOCK_NAMES else \
+                    f"'{tokens[i - 2][0]}::now()'"
+                findings.append(Finding(
+                    "AUD-D3", rel, line,
+                    f"wall clock {what}: results would depend on the host; "
+                    "simulated time only, or time host work with "
+                    "obs::Stopwatch (obs/stopwatch.h)"))
         return findings
 
     # -- AUD-D4 --
@@ -1040,424 +1104,6 @@ class BuiltinEngine:
         return Path(rel).stem
 
 
-# --- libclang engine --------------------------------------------------------
-
-class LibclangEngine:
-    """clang.cindex-based extractor feeding the same rule set. Requires a
-    compile_commands.json; headers are audited through the TUs that include
-    them, findings deduplicated by (rule, file, line). Detection is
-    top-down (structural walks with source-range containment) rather than
-    semantic_parent climbs, which are unreliable for expressions."""
-
-    name = "libclang"
-
-    def __init__(self, root: Path, files: list[Path], compdb_path: Path,
-                 restrict_prefixes=AUDIT_DIRS):
-        import clang.cindex as cindex
-        self.cindex = cindex
-        self.root = root
-        self.files = files
-        self.compdb_path = compdb_path
-        self.restrict_prefixes = restrict_prefixes
-        self._configure_library(cindex)
-
-    @staticmethod
-    def _configure_library(cindex):
-        try:
-            cindex.Index.create()
-            return
-        except Exception:
-            pass
-        import glob
-        candidates = sorted(
-            glob.glob("/usr/lib/llvm-*/lib/libclang-*.so*")
-            + glob.glob("/usr/lib/llvm-*/lib/libclang.so*")
-            + glob.glob("/usr/lib/x86_64-linux-gnu/libclang-*.so*"),
-            reverse=True)
-        for lib in candidates:
-            try:
-                cindex.Config.loaded = False
-                cindex.Config.set_library_file(lib)
-                cindex.Index.create()
-                return
-            except Exception:
-                continue
-        raise RuntimeError("no usable libclang shared library found")
-
-    # -- plumbing --
-
-    def _rel_of(self, location) -> str | None:
-        if location is None or location.file is None:
-            return None
-        try:
-            rel = Path(location.file.name).resolve().relative_to(
-                self.root).as_posix()
-        except ValueError:
-            return None
-        if self.restrict_prefixes and not any(
-                rel.startswith(d + "/") for d in self.restrict_prefixes):
-            return None
-        return rel
-
-    @staticmethod
-    def _clang_args(entry):
-        if "arguments" in entry:
-            argv = entry["arguments"][1:]
-        else:
-            import shlex
-            argv = shlex.split(entry["command"])[1:]
-        args = []
-        skip_next = False
-        for a in argv:
-            if skip_next:
-                skip_next = False
-                continue
-            if a == "-o":
-                skip_next = True
-                continue
-            if a == "-c" or a.endswith((".cc", ".cpp", ".o")):
-                continue
-            args.append(a)
-        return args
-
-    @staticmethod
-    def _canon(cursor_or_type):
-        t = getattr(cursor_or_type, "type", cursor_or_type)
-        try:
-            return t.get_canonical().spelling
-        except Exception:
-            return ""
-
-    @staticmethod
-    def _walk(cursor):
-        yield cursor
-        for child in cursor.get_children():
-            yield from LibclangEngine._walk(child)
-
-    def run(self):
-        cindex = self.cindex
-        index = cindex.Index.create()
-        with open(self.compdb_path, encoding="utf-8") as fh:
-            compdb = json.load(fh)
-        findings: dict = {}
-        lock_edges = []
-        declared_edges = []
-        parsed_any = False
-
-        for entry in compdb:
-            src = Path(entry["file"])
-            if not src.is_absolute():
-                src = Path(entry["directory"]) / src
-            try:
-                src.resolve().relative_to(self.root)
-            except ValueError:
-                continue
-            tu = index.parse(str(src), args=self._clang_args(entry))
-            parsed_any = True
-            self._visit_tu(tu, findings, lock_edges, declared_edges)
-
-        if not parsed_any:
-            raise RuntimeError(
-                f"no compile_commands.json entry under {self.root}")
-
-        # Annotations come from the raw text of every audited file (headers
-        # included), exactly as in the builtin engine — the allowlist layer
-        # needs them for suppression and stale detection either way.
-        annotations = []
-        for path in self.files:
-            rel = path.relative_to(self.root).as_posix()
-            try:
-                text = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
-            _, annos = preprocess(text)
-            annotations.extend(Annotation(rel, ln, tag, reason, targets)
-                               for ln, tag, reason, targets in annos)
-        return list(findings.values()), annotations, lock_edges, declared_edges
-
-    # -- per-TU visit --
-
-    def _visit_tu(self, tu, findings, lock_edges, declared_edges):
-        ck = self.cindex.CursorKind
-
-        def add(rule, rel, line, message):
-            f = Finding(rule, rel, line, message)
-            findings.setdefault(f.key(), f)
-
-        def is_unordered(type_obj):
-            return "unordered_" in self._canon(type_obj)
-
-        for cursor in self._walk(tu.cursor):
-            rel = self._rel_of(cursor.location)
-            if rel is None:
-                continue
-            line = cursor.location.line
-            kind = cursor.kind
-
-            if kind == ck.CXX_FOR_RANGE_STMT:
-                # The range initializer is the last non-VAR_DECL child
-                # before the body; checking every child for an unordered
-                # type is a safe over-approximation.
-                if any(is_unordered(ch.type) for ch in cursor.get_children()
-                       if ch.kind != ck.COMPOUND_STMT):
-                    add("AUD-D1", rel, line,
-                        "range-for over unordered container: hash-order is "
-                        "not deterministic across standard libraries; "
-                        "iterate a sorted view or justify with "
-                        "// audit: order-insensitive(<reason>)")
-            elif kind == ck.CALL_EXPR:
-                name = cursor.spelling
-                if name in {"begin", "cbegin", "rbegin"}:
-                    if any(is_unordered(d.type)
-                           for d in self._walk(cursor)):
-                        add("AUD-D1", rel, line,
-                            "iterator traversal of unordered container: "
-                            "hash-order is not deterministic; justify with "
-                            "// audit: order-insensitive(<reason>)")
-                elif name == "now":
-                    ref = cursor.referenced
-                    parent = ref.semantic_parent if ref is not None else None
-                    if parent is not None and parent.spelling in CLOCK_NAMES:
-                        add("AUD-D3", rel, line,
-                            "wall-clock read in decision-path code; "
-                            "simulated time only, or justify an "
-                            "observability stopwatch with "
-                            "// audit: wall-clock-ok(<reason>)")
-                elif name in {"rand", "srand"}:
-                    ref = cursor.referenced
-                    ref_rel = self._rel_of(ref.location) if ref else None
-                    if ref_rel is None:  # declared in a system header
-                        add("AUD-D3", rel, line,
-                            f"{name}() in decision-path code breaks seeded "
-                            "replay; draw from mwp::Rng")
-                elif name == "time":
-                    ref = cursor.referenced
-                    ref_rel = self._rel_of(ref.location) if ref else None
-                    if ref_rel is None:
-                        add("AUD-D3", rel, line,
-                            "time(nullptr) in decision-path code breaks "
-                            "seeded replay; draw from mwp::Rng")
-            elif kind == ck.VAR_DECL:
-                s = self._canon(cursor.type)
-                if "random_device" in s:
-                    add("AUD-D3", rel, line,
-                        "std::random_device in decision-path code: hardware "
-                        "entropy breaks seeded replay; draw from mwp::Rng")
-            elif kind == ck.LAMBDA_EXPR:
-                self._check_comparator_lambda(cursor, rel, add, ck)
-            elif kind in (ck.TYPE_ALIAS_DECL, ck.TYPEDEF_DECL,
-                          ck.FIELD_DECL):
-                s = self._canon(cursor.type)
-                if re.search(r"std::(?:multi)?(?:set|map)<[^<>]*\*\s*[,>]",
-                             s) and re.search(r"std::less<[^<>]*\*\s*>", s):
-                    add("AUD-D2", rel, line,
-                        "std::set/map ordered by pointer value "
-                        "(std::less<T*>): allocation addresses differ "
-                        "across runs; key on a stable id or justify with "
-                        "// audit: address-stable(<reason>)")
-                if kind == ck.FIELD_DECL:
-                    self._check_field(cursor, rel, line, add, ck)
-
-            if kind == ck.CALL_EXPR and cursor.spelling in \
-                    PARALLEL_ENTRY_CALLS:
-                self._check_parallel_call(cursor, rel, add, ck)
-
-            if kind in (ck.CXX_METHOD, ck.FUNCTION_DECL, ck.CONSTRUCTOR,
-                        ck.DESTRUCTOR) and cursor.is_definition():
-                self._collect_lock_nesting(cursor, rel, lock_edges, ck)
-            if kind == ck.FIELD_DECL:
-                self._collect_declared_edges(cursor, rel, declared_edges, ck)
-
-    # -- AUD-D2 (lambda comparators) --
-
-    def _check_comparator_lambda(self, cursor, rel, add, ck):
-        params = [ch for ch in cursor.get_children()
-                  if ch.kind == ck.PARM_DECL]
-        ptr_names = {p.spelling for p in params
-                     if self._canon(p.type).rstrip().endswith("*")}
-        if len(ptr_names) < 2:
-            return
-        for d in self._walk(cursor):
-            if d.kind != ck.BINARY_OPERATOR:
-                continue
-            kids = list(d.get_children())
-            if len(kids) != 2:
-                continue
-            # Operator spelling: the token between the operand extents.
-            toks = [t.spelling for t in d.get_tokens()]
-            if not any(op in toks for op in RELATIONAL):
-                continue
-            sides = []
-            for kid in kids:
-                refs = [c.referenced.spelling for c in self._walk(kid)
-                        if c.kind == ck.DECL_REF_EXPR and
-                        c.referenced is not None]
-                member = any(c.kind == ck.MEMBER_REF_EXPR
-                             for c in self._walk(kid))
-                sides.append((set(refs), member))
-            (lrefs, lmem), (rrefs, rmem) = sides
-            if lmem or rmem:
-                continue  # compares a field, not the pointer itself
-            if lrefs & ptr_names and rrefs & ptr_names and \
-                    (lrefs | rrefs) >= {min(ptr_names), max(ptr_names)} \
-                    and lrefs != rrefs:
-                add("AUD-D2", rel, d.location.line,
-                    "comparator orders by pointer value: addresses are not "
-                    "stable across runs; compare a stable field or justify "
-                    "with // audit: address-stable(<reason>)")
-
-    # -- AUD-D4 --
-
-    def _check_parallel_call(self, cursor, rel, add, ck):
-        for lam in self._walk(cursor):
-            if lam.kind != ck.LAMBDA_EXPR:
-                continue
-            ext = lam.extent
-            lam_start = (ext.start.line, ext.start.column)
-            lam_end = (ext.end.line, ext.end.column)
-
-            def inside_lambda(loc):
-                if loc is None or loc.file is None or \
-                        ext.start.file is None or \
-                        loc.file.name != ext.start.file.name:
-                    return False
-                p = (loc.line, loc.column)
-                return lam_start <= p <= lam_end
-
-            for d in self._walk(lam):
-                if d.kind != ck.COMPOUND_ASSIGNMENT_OPERATOR:
-                    continue
-                kids = list(d.get_children())
-                if not kids:
-                    continue
-                lhs_refs = [c.referenced for c in self._walk(kids[0])
-                            if c.kind in (ck.DECL_REF_EXPR,
-                                          ck.MEMBER_REF_EXPR)
-                            and c.referenced is not None]
-                # Captured state: some referenced decl lives outside the
-                # lambda (member fields always do).
-                if any(not inside_lambda(r.location) for r in lhs_refs):
-                    add("AUD-D4", rel, d.location.line,
-                        "compound assignment to captured state inside a "
-                        "parallel lane: data race or order-dependent "
-                        "reduction (FP addition is not associative); write "
-                        "per-index slots and reduce in index order, or "
-                        "justify with // audit: order-fixed(<reason>)")
-
-    # -- AUD-L1 --
-
-    L1_EXEMPT_BASES = {"Mutex", "mutex", "recursive_mutex", "shared_mutex",
-                       "condition_variable", "condition_variable_any",
-                       "atomic", "atomic_flag", "thread", "jthread",
-                       "stop_token", "stop_source"}
-
-    def _check_field(self, cursor, rel, line, add, ck):
-        parent = cursor.semantic_parent
-        if parent is None:
-            return
-
-        def base_of(c):
-            return self._canon(c.type).split("<")[0].split("::")[-1].strip()
-
-        fields = [c for c in parent.get_children()
-                  if c.kind == ck.FIELD_DECL]
-        if not any(base_of(c) in {"Mutex", "mutex"} for c in fields):
-            return
-        base = base_of(cursor)
-        if base in self.L1_EXEMPT_BASES:
-            return
-        if cursor.type.is_const_qualified():
-            return
-        toks = {t.spelling for t in cursor.get_tokens()}
-        if toks & {"MWP_GUARDED_BY", "MWP_PT_GUARDED_BY", "GUARDED_BY",
-                   "PT_GUARDED_BY"}:
-            return
-        add("AUD-L1", rel, line,
-            f"'{parent.spelling}::{cursor.spelling}' is mutable state "
-            "co-located with a Mutex but names no guard: add "
-            "MWP_GUARDED_BY(<mu>), make it const/atomic, or justify with "
-            "// audit: not-guarded(<reason>)")
-
-    # -- AUD-L2 --
-
-    def _collect_lock_nesting(self, fn_cursor, rel, lock_edges, ck):
-        parent = fn_cursor.semantic_parent
-        if parent is not None and parent.kind in (
-                ck.CLASS_DECL, ck.STRUCT_DECL, ck.CLASS_TEMPLATE):
-            ctx = parent.spelling
-        elif fn_cursor.kind == ck.FUNCTION_DECL and fn_cursor.spelling:
-            ctx = fn_cursor.spelling
-        else:
-            ctx = Path(rel).stem
-
-        def scan(block, held):
-            for child in block.get_children():
-                if child.kind == ck.DECL_STMT:
-                    for decl in child.get_children():
-                        if decl.kind == ck.VAR_DECL and \
-                                self._canon(decl.type).split("::")[-1] == \
-                                "MutexLock":
-                            mutex = self._mutex_operand(decl)
-                            if not mutex:
-                                continue
-                            node = (ctx, mutex)
-                            for held_node in held:
-                                if held_node != node:
-                                    lock_edges.append(
-                                        (held_node, node, rel,
-                                         decl.location.line))
-                            held = held + [node]
-                elif child.kind == ck.COMPOUND_STMT:
-                    scan(child, held)
-                else:
-                    # Control-flow statements own nested compounds.
-                    for sub in child.get_children():
-                        if sub.kind == ck.COMPOUND_STMT:
-                            scan(sub, held)
-
-        for child in fn_cursor.get_children():
-            if child.kind == ck.COMPOUND_STMT:
-                scan(child, [])
-
-    @staticmethod
-    def _mutex_operand(decl_cursor):
-        toks = [t.spelling for t in decl_cursor.get_tokens()]
-        if "(" in toks:
-            inner = toks[toks.index("(") + 1:]
-            if ")" in inner:
-                inner = inner[:inner.index(")")]
-            inner = [t for t in inner
-                     if t not in {"*", "&", "this", "->", "."}]
-            if inner and re.match(r"[A-Za-z_]\w*$", inner[-1]):
-                return inner[-1]
-        return ""
-
-    def _collect_declared_edges(self, cursor, rel, declared_edges, ck):
-        toks = [t.spelling for t in cursor.get_tokens()]
-        macro = None
-        for m in ("MWP_ACQUIRED_BEFORE", "ACQUIRED_BEFORE"):
-            if m in toks:
-                macro = m
-                break
-        if macro is None:
-            return
-        base = self._canon(cursor.type).split("::")[-1]
-        if base not in {"Mutex", "mutex"}:
-            return
-        parent = cursor.semantic_parent
-        ctx = parent.spelling if parent is not None else Path(rel).stem
-        mi = toks.index(macro)
-        if mi + 1 >= len(toks) or toks[mi + 1] != "(":
-            return
-        rest = toks[mi + 2:]
-        if ")" in rest:
-            rest = rest[:rest.index(")")]
-        for succ in rest:
-            if re.match(r"[A-Za-z_]\w*$", succ):
-                declared_edges.append(((ctx, cursor.spelling), (ctx, succ),
-                                       rel, cursor.location.line))
-
-
 # --- allowlist + graph evaluation -------------------------------------------
 
 def detect_cycles(edges):
@@ -1508,17 +1154,16 @@ def apply_allowlist(findings, annotations, observed_edges, declared_edges):
     for a in annotations:
         by_file.setdefault(a.file, []).append(a)
 
-    def annotation_for(rule, file, line):
-        tag_wanted = {v: k for k, v in TAG_TO_RULE.items()}[rule]
+    def annotation_for(tag, file, line):
         for a in by_file.get(file, ()):  # few per file
-            if a.tag == tag_wanted and line in a.targets:
+            if a.tag == tag and line in a.targets:
                 return a
         return None
 
     for f in findings:
-        if f.rule not in TAG_TO_RULE.values():
+        if f.tag is None:
             continue
-        a = annotation_for(f.rule, f.file, f.line)
+        a = annotation_for(f.tag, f.file, f.line)
         if a is not None and a.reason:
             f.allowlisted = True
             f.reason = a.reason
@@ -1532,7 +1177,7 @@ def apply_allowlist(findings, annotations, observed_edges, declared_edges):
     for cyc in cycles:
         suppressed = None
         for edge in cyc:
-            a = annotation_for("AUD-L2", edge[2], edge[3])
+            a = annotation_for("lock-order-ok", edge[2], edge[3])
             if a is not None and a.reason:
                 suppressed = (edge, a)
                 break
@@ -1552,11 +1197,11 @@ def apply_allowlist(findings, annotations, observed_edges, declared_edges):
 
     # Stale / malformed annotations.
     for a in annotations:
-        if a.tag not in TAG_TO_RULE:
+        if a.tag not in AUDIT_TAGS:
             findings.append(Finding(
                 "AUD901", a.file, a.line,
                 f"unknown audit tag '{a.tag}' (valid: "
-                f"{', '.join(sorted(TAG_TO_RULE))})"))
+                f"{', '.join(sorted(AUDIT_TAGS))})"))
         elif not a.reason:
             findings.append(Finding(
                 "AUD901", a.file, a.line,
@@ -1584,70 +1229,18 @@ def collect_files(root: Path, dirs=AUDIT_DIRS) -> list[Path]:
     return files
 
 
-def libclang_available() -> bool:
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-def run_engine(engine_name: str, root: Path, files: list[Path],
-               compdb: Path | None):
-    """Returns (engine_used, findings) after allowlist application.
-
-    `auto` always runs the builtin engine and, when clang.cindex is
-    importable and a compilation database exists, unions in the libclang
-    engine's findings (deduplicated by rule/file/line). Union semantics keep
-    the gate robust either way round: a libclang false negative cannot turn
-    a justified annotation stale, and a libclang-only finding still fails
-    the build. Any libclang exception in auto mode degrades to builtin-only
-    with a note; `--engine libclang` makes such errors fatal."""
-    if engine_name == "libclang" and (compdb is None or not compdb.is_file()):
-        raise RuntimeError(
-            "--engine libclang requires --compdb compile_commands.json")
-
-    findings = []
-    annotations = []
-    observed = []
-    declared = []
-    chosen = engine_name
-    if engine_name in ("auto", "builtin"):
-        findings, annotations, observed, declared = \
-            BuiltinEngine(root, files).run()
-        chosen = "builtin"
-    if engine_name == "libclang" or (
-            engine_name == "auto" and libclang_available()
-            and compdb is not None and compdb.is_file()):
-        try:
-            lc_find, lc_annos, lc_obs, lc_decl = \
-                LibclangEngine(root, files, compdb).run()
-            if engine_name == "libclang":
-                findings, annotations = lc_find, lc_annos
-                observed, declared = lc_obs, lc_decl
-                chosen = "libclang"
-            else:
-                known = {f.key() for f in findings}
-                findings.extend(f for f in lc_find if f.key() not in known)
-                known_edges = {(e[0], e[1]) for e in observed}
-                observed.extend(e for e in lc_obs
-                                if (e[0], e[1]) not in known_edges)
-                chosen = "builtin+libclang"
-        except Exception as err:
-            if engine_name == "libclang":
-                raise
-            print(f"determinism_audit: libclang engine failed ({err}); "
-                  "continuing with builtin findings only", file=sys.stderr)
-    findings = apply_allowlist(findings, annotations, observed, declared)
+def audit(root: Path, files: list[Path]):
+    """Findings for `files` (paths under `root`) after allowlist
+    application, sorted by file, line and rule."""
+    findings = apply_allowlist(*Auditor(root, files).run())
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
-    return chosen, findings
+    return findings
 
 
-def write_json(path: Path, engine: str, root: Path, findings):
+def write_json(path: Path, root: Path, findings):
     doc = {
         "schema": 1,
         "tool": "determinism_audit",
-        "engine": engine,
         "root": str(root),
         "findings": [
             {"rule": f.rule, "file": f.file, "line": f.line,
@@ -1670,11 +1263,8 @@ def run_self_test(script_dir: Path) -> int:
     if not corpus.is_dir() or not golden_path.is_file():
         print(f"self-test: corpus missing under {corpus}", file=sys.stderr)
         return 1
-    files = [p for p in sorted(corpus.rglob("*"))
-             if p.suffix in SOURCE_SUFFIXES]
-    engine = BuiltinEngine(corpus, files)
-    findings, annotations, observed, declared = engine.run()
-    findings = apply_allowlist(findings, annotations, observed, declared)
+    files = collect_files(corpus, dirs=(".",))
+    findings = audit(corpus, files)
     got = sorted([f.rule, f.file, f.line, f.allowlisted] for f in findings)
     golden = json.loads(golden_path.read_text(encoding="utf-8"))
     want = sorted([g["rule"], g["file"], g["line"], g["allowlisted"]]
@@ -1690,64 +1280,27 @@ def run_self_test(script_dir: Path) -> int:
         for row in want:
             if row not in got:
                 print(f"  missing:    {row}", file=sys.stderr)
-    # Every rule class must fire at least once as a non-allowlisted positive
-    # AND be exercised by an allowlisted negative — a silently dead rule
-    # cannot keep the gate green.
-    for rule in ("AUD-D1", "AUD-D2", "AUD-D3", "AUD-D4", "AUD-L1", "AUD-L2"):
-        pos = any(f.rule == rule and not f.allowlisted for f in findings)
-        neg = any(f.rule == rule and f.allowlisted for f in findings)
-        if not pos:
+    # Every rule id must fire at least once as a non-allowlisted positive,
+    # and every audit tag must excuse at least one finding — a silently
+    # dead rule or tag cannot keep the gate green.
+    for rule, tags in RULES.items():
+        if not any(f.rule == rule and not f.allowlisted for f in findings):
             failures += 1
             print(f"self-test FAILED: no seeded positive for {rule}",
                   file=sys.stderr)
-        if not neg:
-            failures += 1
-            print(f"self-test FAILED: no allowlisted negative for {rule}",
-                  file=sys.stderr)
-    if not any(f.rule == "AUD900" for f in findings):
-        failures += 1
-        print("self-test FAILED: seeded stale allowlist entry not detected",
-              file=sys.stderr)
-
-    # When libclang is importable (the CI static-analysis lane), the clang
-    # engine must independently detect every rule class on the corpus —
-    # this keeps the AST frontend honest without demanding line-exact
-    # agreement with the token engine.
-    if libclang_available():
-        compdb = corpus / "compile_commands.json"
-        entries = [{"directory": str(corpus), "file": str(p),
-                    "command": f"clang++ -std=c++20 -c {p}"}
-                   for p in files]
-        compdb.write_text(json.dumps(entries), encoding="utf-8")
-        try:
-            eng = LibclangEngine(corpus, files, compdb)
-            lf, la, lo, ld = eng.run()
-            lf = apply_allowlist(lf, la, lo, ld)
-            lc_rules = {f.rule for f in lf}
-            missing = [r for r in ("AUD-D1", "AUD-D2", "AUD-D3", "AUD-D4",
-                                   "AUD-L1", "AUD-L2") if r not in lc_rules]
-            if missing:
+        for tag in tags:
+            if not any(f.rule == rule and f.tag == tag and f.allowlisted
+                       for f in findings):
                 failures += 1
-                print("self-test FAILED: libclang engine misses rule "
-                      f"class(es) on the corpus: {', '.join(missing)}",
-                      file=sys.stderr)
-            else:
-                print("self-test: libclang engine detects all 6 rule "
-                      "classes on the corpus")
-        except Exception as err:
-            print(f"self-test: libclang engine unavailable ({err}); "
-                  "builtin-only run", file=sys.stderr)
-        finally:
-            compdb.unlink(missing_ok=True)
-
+                print(f"self-test FAILED: no allowlisted negative for {rule} "
+                      f"({tag})", file=sys.stderr)
     if failures:
         return 1
-    n_pos = sum(1 for f in findings if not f.allowlisted
-                and f.rule.startswith("AUD-"))
+    n_pos = sum(1 for f in findings if not f.allowlisted)
     n_neg = sum(1 for f in findings if f.allowlisted)
-    print(f"determinism_audit self-test: all 6 rule classes fire "
-          f"({n_pos} positives, {n_neg} allowlisted negatives, stale entry "
-          "detected)")
+    print(f"determinism_audit self-test: all {len(RULES)} rule ids fire "
+          f"({n_pos} positives, {n_neg} allowlisted negatives over "
+          f"{len(AUDIT_TAGS)} tags)")
     return 0
 
 
@@ -1756,16 +1309,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[2],
                         help="repository root (default: two levels up)")
-    parser.add_argument("--compdb", type=Path, default=None,
-                        help="compile_commands.json (enables the libclang "
-                             "engine; the builtin engine ignores it)")
-    parser.add_argument("--engine", choices=("auto", "builtin", "libclang"),
-                        default="auto")
     parser.add_argument("--json", type=Path, default=None,
                         help="write machine-readable findings to this path")
     parser.add_argument("--self-test", action="store_true",
-                        help="run both engines against the seeded-violation "
-                             "corpus and compare against the golden JSON")
+                        help="audit the seeded-violation corpus and compare "
+                             "against the golden JSON")
     args = parser.parse_args(argv)
 
     if args.self_test:
@@ -1776,21 +1324,17 @@ def main(argv: list[str]) -> int:
         print(f"error: {root} does not look like the repo root",
               file=sys.stderr)
         return 2
-    compdb = args.compdb
-    if compdb is None:
-        default = root / "build" / "compile_commands.json"
-        compdb = default if default.is_file() else None
 
     files = collect_files(root)
-    engine, findings = run_engine(args.engine, root, files, compdb)
+    findings = audit(root, files)
     if args.json is not None:
-        write_json(args.json, engine, root, findings)
+        write_json(args.json, root, findings)
 
     violations = [f for f in findings if not f.allowlisted]
     allowlisted = [f for f in findings if f.allowlisted]
     for f in findings:
         print(f)
-    print(f"determinism_audit [{engine}]: {len(files)} files, "
+    print(f"determinism_audit: {len(files)} files, "
           f"{len(violations)} violation(s), {len(allowlisted)} allowlisted",
           file=sys.stderr if violations else sys.stdout)
     return 1 if violations else 0
