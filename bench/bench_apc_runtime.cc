@@ -261,34 +261,6 @@ BENCHMARK(BM_OptimizeShardedScale)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_OptimizeLoadedReference(benchmark::State& state) {
-  // The same search with the incremental engine off (fresh hypothetical-RPF
-  // per evaluation, sequential candidate loop) — the baseline the cached
-  // path is property-tested against, kept here to measure the speedup.
-  const int nodes = static_cast<int>(state.range(0));
-  const int running = nodes * 3;
-  const int queued = static_cast<int>(state.range(1));
-  BenchState bench(nodes, running, queued);
-  const PlacementSnapshot snap = bench.Snapshot();
-  PlacementOptimizer::Options options;
-  options.evaluator.incremental = false;
-  options.search_threads = 1;
-  int evaluations = 0;
-  for (auto _ : state) {
-    PlacementOptimizer optimizer(&snap, options);
-    auto result = optimizer.Optimize();
-    evaluations = result.evaluations;
-    benchmark::DoNotOptimize(result.placement);
-  }
-  state.counters["nodes"] = nodes;
-  state.counters["jobs"] = running + queued;
-  state.counters["evaluations"] = evaluations;
-}
-BENCHMARK(BM_OptimizeLoadedReference)
-    ->Args({25, 10})
-    ->Args({25, 50})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_OptimizeShortcut(benchmark::State& state) {
   // Every job placed, nothing queued: the paper's fast path.
   const int nodes = static_cast<int>(state.range(0));

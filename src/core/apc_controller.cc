@@ -104,9 +104,6 @@ CycleSolution ApcController::SolveCycle(
   if (config_.shard_cell_size > 0) {
     ShardedPlacementOptimizer::Options shard_options;
     shard_options.cell_size = config_.shard_cell_size;
-    shard_options.partition_seed = config_.shard_partition_seed;
-    shard_options.cell_threads = config_.shard_cell_threads;
-    shard_options.max_cross_cell_moves = config_.shard_max_cross_cell_moves;
     shard_options.cell = config_.optimizer;
     const ShardedPlacementOptimizer sharded(&snapshot, shard_options);
     ShardedPlacementOptimizer::Result sharded_result = sharded.Optimize();
@@ -359,7 +356,7 @@ void ApcController::CommitCycle(const CycleCapture& capture,
   ++cycle_index_;
   next_cycle_trigger_.clear();
 
-  if (config_.record_cycles) cycles_.push_back(std::move(stats));
+  cycles_.push_back(std::move(stats));
   MWP_LOG_DEBUG << "cycle t=" << now << " jobs=" << snapshot.num_jobs()
                 << " evals=" << result.evaluations
                 << " solver=" << solution.solver_seconds << "s";
@@ -501,19 +498,12 @@ obs::CycleInputRecord BuildInputRecord(const PlacementSnapshot& snapshot,
   }
 
   in.options.max_sweeps = options.max_sweeps;
-  in.options.max_changes_per_node = options.max_changes_per_node;
-  in.options.max_wishes_tried = options.max_wishes_tried;
-  in.options.max_migrations_tried = options.max_migrations_tried;
-  in.options.max_evaluations = options.max_evaluations;
   in.options.tie_tolerance = options.evaluator.tie_tolerance;
-  in.options.grid = options.evaluator.grid;
-  in.options.level_tolerance = options.evaluator.distributor.level_tolerance;
-  in.options.probe_delta = options.evaluator.distributor.probe_delta;
-  in.options.bisection_iters = options.evaluator.distributor.bisection_iters;
   in.options.batch_aggregate = options.evaluator.distributor.batch_aggregate;
+  const ShardedPlacementOptimizer::Options shard_defaults;
   in.options.cell_size = config.shard_cell_size;
-  in.options.partition_seed = config.shard_partition_seed;
-  in.options.max_cross_cell_moves = config.shard_max_cross_cell_moves;
+  in.options.partition_seed = shard_defaults.partition_seed;
+  in.options.max_cross_cell_moves = shard_defaults.max_cross_cell_moves;
   in.options.objective = static_cast<int>(options.evaluator.objective.kind);
   in.options.karma_weight = options.evaluator.objective.karma_weight;
   in.options.karma_cap = options.evaluator.objective.karma_cap;

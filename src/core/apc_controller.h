@@ -141,14 +141,10 @@ class ApcController {
     /// partitions it into cells of this many nodes and runs
     /// ShardedPlacementOptimizer (per-cell solves in parallel plus the
     /// bounded cross-cell rebalance), with `optimizer` above as the
-    /// per-cell search options.
+    /// per-cell search options and ShardedPlacementOptimizer::Options'
+    /// defaults for the partition seed, cell threads and cross-cell move
+    /// bound.
     int shard_cell_size = 0;
-    std::uint64_t shard_partition_seed = 0;
-    /// Concurrent cell solves (0 = hardware concurrency). Decisions are
-    /// identical for every value.
-    int shard_cell_threads = 0;
-    /// Cross-cell churn bound: accepted job transfers per cycle.
-    int shard_max_cross_cell_moves = 8;
     /// Policy constraints (pinning, anti-collocation) enforced by every
     /// placement decision, including mid-cycle dispatch.
     PlacementConstraints constraints;
@@ -158,7 +154,6 @@ class ApcController {
     /// true value) then drives placement. Off by default so experiments use
     /// the exact published models.
     bool use_work_profiler = false;
-    bool record_cycles = true;
     /// Also record per-job allocations and predictions each cycle (heavier;
     /// meant for small illustrative runs).
     bool record_job_details = false;
@@ -359,8 +354,7 @@ class ApcController {
   int pending_quick_starts_ = 0;
   int pending_quick_resumes_ = 0;
   int pending_failed_ops_ = 0;
-  /// Control cycles run so far (CycleTrace sequence numbers; counted even
-  /// when record_cycles is off).
+  /// Control cycles run so far (CycleTrace sequence numbers).
   int cycle_index_ = 0;
   /// Trigger tag for the next committed cycle's trace record; empty =
   /// periodic (legacy exports unchanged). Consumed by CommitCycle.

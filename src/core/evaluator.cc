@@ -18,7 +18,6 @@ PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot,
       distributor_(snapshot, options_.distributor) {
   MWP_CHECK(snapshot_ != nullptr);
   MWP_CHECK(options_.tie_tolerance >= 0.0);
-  grid_ = options_.grid.empty() ? HypotheticalRpf::DefaultGrid() : options_.grid;
 
   const PlacementSnapshot& snap = *snapshot_;
   removal_is_suspend_.assign(static_cast<std::size_t>(snap.num_entities()),
@@ -31,10 +30,9 @@ PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot,
         snap.job(j).status == JobStatus::kSuspended;
   }
 
-  if (options_.incremental) {
-    column_cache_ = std::make_unique<HypColumnCache>(
-        snap.now() + snap.control_cycle(), grid_, snap.num_jobs());
-  }
+  column_cache_ = std::make_unique<HypColumnCache>(
+      snap.now() + snap.control_cycle(), HypotheticalRpf::DefaultGrid(),
+      snap.num_jobs());
 
   // nullptr for the default max-min objective: Evaluate and Compare then
   // take exactly the pre-objective code paths (bit-exactness contract).
@@ -106,54 +104,39 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
   }
 
   if (!hyp_jobs.empty()) {
-    if (column_cache_ != nullptr) {
-      // Assemble the hypothetical RPF from memoized per-job columns; the
-      // interpolation runs through the same EvaluateColumns as the
-      // from-scratch constructor path.
-      std::vector<const HypotheticalRpf::Column*>& cols = scratch.columns;
-      cols.resize(hyp_jobs.size());
-      if (scratch.last_columns.size() !=
-          static_cast<std::size_t>(snap.num_jobs())) {
-        scratch.last_columns.assign(static_cast<std::size_t>(snap.num_jobs()),
-                                    {});
+    // Assemble the hypothetical RPF from memoized per-job columns; the
+    // interpolation runs through the same EvaluateColumns as a
+    // from-scratch HypotheticalRpf.
+    std::vector<const HypotheticalRpf::Column*>& cols = scratch.columns;
+    cols.resize(hyp_jobs.size());
+    if (scratch.last_columns.size() !=
+        static_cast<std::size_t>(snap.num_jobs())) {
+      scratch.last_columns.assign(static_cast<std::size_t>(snap.num_jobs()),
+                                  {});
+    }
+    for (std::size_t k = 0; k < hyp_jobs.size(); ++k) {
+      const HypotheticalJobState& hs = hyp_jobs[k];
+      EvalScratch::ColumnMemo& memo =
+          scratch.last_columns[static_cast<std::size_t>(hyp_index[k])];
+      const auto wb = std::bit_cast<std::uint64_t>(hs.work_done);
+      const auto db = std::bit_cast<std::uint64_t>(hs.start_delay);
+      if (memo.col == nullptr || memo.work_bits != wb ||
+          memo.delay_bits != db) {
+        memo = {wb, db, column_cache_->Get(hyp_index[k], hs)};
       }
-      for (std::size_t k = 0; k < hyp_jobs.size(); ++k) {
-        const HypotheticalJobState& hs = hyp_jobs[k];
-        EvalScratch::ColumnMemo& memo =
-            scratch.last_columns[static_cast<std::size_t>(hyp_index[k])];
-        const auto wb = std::bit_cast<std::uint64_t>(hs.work_done);
-        const auto db = std::bit_cast<std::uint64_t>(hs.start_delay);
-        if (memo.col == nullptr || memo.work_bits != wb ||
-            memo.delay_bits != db) {
-          memo = {wb, db, column_cache_->Get(hyp_index[k], hs)};
-        }
-        cols[k] = memo.col;
-      }
-      scratch.row_sums.assign(grid_.size(), 0.0);
-      HypotheticalRpf::AccumulateRowSums(cols, scratch.row_sums);
-      scratch.outcomes.resize(hyp_jobs.size());
-      HypotheticalRpf::EvaluateColumns(cols, scratch.row_sums,
-                                       eval.batch_allocation,
-                                       scratch.outcomes);
-      for (std::size_t k = 0; k < scratch.outcomes.size(); ++k) {
-        const int entity = snap.EntityOfJob(hyp_index[k]);
-        eval.entity_utilities[static_cast<std::size_t>(entity)] =
-            scratch.outcomes[k].utility;
-        eval.job_future_speeds[static_cast<std::size_t>(hyp_index[k])] =
-            scratch.outcomes[k].speed;
-      }
-    } else {
-      const HypotheticalRpf hyp(
-          std::vector<HypotheticalJobState>(hyp_jobs.begin(), hyp_jobs.end()),
-          cycle_end, grid_);
-      const auto outcomes = hyp.Evaluate(eval.batch_allocation);
-      for (std::size_t k = 0; k < outcomes.size(); ++k) {
-        const int entity = snap.EntityOfJob(hyp_index[k]);
-        eval.entity_utilities[static_cast<std::size_t>(entity)] =
-            outcomes[k].utility;
-        eval.job_future_speeds[static_cast<std::size_t>(hyp_index[k])] =
-            outcomes[k].speed;
-      }
+      cols[k] = memo.col;
+    }
+    scratch.row_sums.assign(cols[0]->w.size(), 0.0);  // one per grid row
+    HypotheticalRpf::AccumulateRowSums(cols, scratch.row_sums);
+    scratch.outcomes.resize(hyp_jobs.size());
+    HypotheticalRpf::EvaluateColumns(cols, scratch.row_sums,
+                                     eval.batch_allocation, scratch.outcomes);
+    for (std::size_t k = 0; k < scratch.outcomes.size(); ++k) {
+      const int entity = snap.EntityOfJob(hyp_index[k]);
+      eval.entity_utilities[static_cast<std::size_t>(entity)] =
+          scratch.outcomes[k].utility;
+      eval.job_future_speeds[static_cast<std::size_t>(hyp_index[k])] =
+          scratch.outcomes[k].speed;
     }
   }
 
@@ -232,14 +215,6 @@ int PlacementEvaluator::Compare(const PlacementEvaluation& a,
   if (a.changes.size() < b.changes.size()) return 1;
   if (a.changes.size() > b.changes.size()) return -1;
   return 0;
-}
-
-std::size_t PlacementEvaluator::cache_hits() const {
-  return column_cache_ != nullptr ? column_cache_->hits() : 0;
-}
-
-std::size_t PlacementEvaluator::cache_misses() const {
-  return column_cache_ != nullptr ? column_cache_->misses() : 0;
 }
 
 }  // namespace mwp

@@ -17,12 +17,14 @@
 // placement changes as tie-breaker (the paper keeps the incumbent when RP
 // vectors tie — Figure 1, S1 cycle 2).
 //
-// Hot path: with Options::incremental (the default) step 3 assembles the
-// hypothetical RPF from per-job columns memoized in a HypColumnCache
-// instead of recomputing the W/V matrix, and all per-call buffers live in
-// an EvalScratch. Both paths funnel through the same column / interpolation
-// code, so incremental evaluation is bit-for-bit identical to the
-// from-scratch path (property-tested). Evaluate also accepts an optional
+// Hot path: step 3 assembles the hypothetical RPF, always over
+// HypotheticalRpf::DefaultGrid(), from per-job columns memoized in a
+// HypColumnCache instead of recomputing the W/V matrix, and all per-call
+// buffers live in an EvalScratch. The columns and their interpolation are
+// the same code a from-scratch HypotheticalRpf runs, so every evaluation is
+// bit-for-bit what a fresh evaluator would compute; the from-scratch
+// reference lives in tests/core/reference_evaluator and the equivalence
+// tests compare against it with exact ==. Evaluate also accepts an optional
 // reject bound: a candidate whose minimum utility already loses
 // lexicographically against the bound at index 0 is rejected before the
 // full sorted vector and change list are materialized — exactly the
@@ -72,6 +74,9 @@ struct PlacementEvaluation {
 
 class PlacementEvaluator {
  public:
+  /// The settable scoring parameters. The hypothetical-RPF sampling grid
+  /// (HypotheticalRpf::DefaultGrid()) and the distributor's tolerances
+  /// (LoadDistributor::k*) are fixed.
   struct Options {
     /// Sorted utility vectors whose elements all differ by less than this
     /// are considered tied (then fewer changes wins). The default exceeds
@@ -81,13 +86,6 @@ class PlacementEvaluator {
     /// jobs under overload — the "no placement changes" behaviour of §5.1.
     double tie_tolerance = 0.02;
     LoadDistributor::Options distributor;
-    /// Sampling grid for the hypothetical RPF; empty = default grid.
-    std::vector<double> grid;
-    /// true: memoize per-job hypothetical-RPF columns across Evaluate calls
-    /// and reuse scratch buffers. false: rebuild everything from scratch
-    /// each call (the reference path the equivalence tests compare
-    /// against). Results are bit-for-bit identical either way.
-    bool incremental = true;
     /// The fairness objective scoring candidate placements. kMaxMin (the
     /// default) takes the original hardwired lexicographic max-min path.
     FairnessObjectiveConfig objective;
@@ -120,22 +118,20 @@ class PlacementEvaluator {
   /// order, rebalancer worst-job picks) consult EntityBias through this.
   const FairnessObjective* objective() const { return objective_.get(); }
 
-  /// Column-cache statistics (zero when incremental is off).
-  std::size_t cache_hits() const;
-  std::size_t cache_misses() const;
+  /// Column-cache statistics.
+  std::size_t cache_hits() const { return column_cache_->hits(); }
+  std::size_t cache_misses() const { return column_cache_->misses(); }
 
  private:
   const PlacementSnapshot* snapshot_;
   Options options_;
   LoadDistributor distributor_;
-  /// The resolved sampling grid (options_.grid or the default).
-  std::vector<double> grid_;
   /// Change-kind lookups, fixed per snapshot: removals of incomplete jobs
   /// are suspensions; additions of previously suspended jobs are resumes.
   std::vector<bool> removal_is_suspend_;
   std::vector<bool> addition_is_resume_;
-  /// Memoized hypothetical columns (null when incremental is off). The
-  /// cache is behaviourally transparent, hence usable from const Evaluate.
+  /// Memoized hypothetical columns. The cache is behaviourally
+  /// transparent, hence usable from const Evaluate.
   std::unique_ptr<HypColumnCache> column_cache_;
   /// Non-null only for a non-default objective (see objective()).
   std::unique_ptr<FairnessObjective> objective_;

@@ -131,9 +131,6 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
       options_(std::move(options)),
       id_(next_distributor_id.fetch_add(1, std::memory_order_relaxed)) {
   MWP_CHECK(snapshot_ != nullptr);
-  MWP_CHECK(options_.level_tolerance > 0.0);
-  MWP_CHECK(options_.probe_delta > 0.0);
-  MWP_CHECK(options_.bisection_iters > 0);
   stage_max_.reserve(static_cast<std::size_t>(snapshot_->num_jobs()));
   for (const JobView& jv : snapshot_->jobs()) {
     stage_max_.push_back(StageMaxSpeed(jv));
@@ -414,7 +411,7 @@ void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
   Utility level = hi;
   if (total_at(hi) > share + 1e-9) {
     Utility lo = kUtilityFloor;
-    for (int iter = 0; iter < options_.bisection_iters; ++iter) {
+    for (int iter = 0; iter < kBisectionIters; ++iter) {
       const Utility mid = 0.5 * (lo + hi);
       if (total_at(mid) <= share) {
         lo = mid;
@@ -542,7 +539,7 @@ int LoadDistributor::SolveFill(DistributorScratch& scratch,
     }
 
     Utility lo = kUtilityFloor;
-    for (int iter = 0; iter < options_.bisection_iters; ++iter) {
+    for (int iter = 0; iter < kBisectionIters; ++iter) {
       const Utility mid = 0.5 * (lo + hi);
       if (feasible(mid)) {
         lo = mid;
@@ -559,7 +556,7 @@ int LoadDistributor::SolveFill(DistributorScratch& scratch,
     refresh_demands(level);
     for (FillEntity& e : entities) {
       if (!e.active) continue;
-      if (level >= e.max_u - options_.level_tolerance) {
+      if (level >= e.max_u - kLevelTolerance) {
         e.fixed_demand = e.DemandAt(level);
         e.fixed_utility = e.rpf->UtilityAt(e.fixed_demand);
         e.active = false;
@@ -571,7 +568,7 @@ int LoadDistributor::SolveFill(DistributorScratch& scratch,
       FillEntity& e = entities[i];
       if (!e.active) continue;
       const MHz saved = demands[i];
-      demands[i] = e.DemandAt(level + options_.probe_delta);
+      demands[i] = e.DemandAt(level + kProbeDelta);
       // Not committed: every δ-probe starts from the level's flow.
       const bool can_rise = ProbeDemands(demands, scratch, /*commit=*/false);
       demands[i] = saved;

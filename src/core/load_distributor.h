@@ -219,12 +219,18 @@ class DistributorScratch {
 
 class LoadDistributor {
  public:
+  // The water-fill's fixed numeric tolerances. Every recorded trace carries
+  // them in its options (the exporter writes them as literals), and the
+  // trace reader rejects a recording made with other values.
+
+  /// Convergence tolerance on the common utility level.
+  static constexpr double kLevelTolerance = 1e-4;
+  /// Probe step used to detect resource-bottlenecked entities.
+  static constexpr double kProbeDelta = 1e-3;
+  /// Bisection steps per water-fill round (and per node split).
+  static constexpr int kBisectionIters = 48;
+
   struct Options {
-    /// Convergence tolerance on the common utility level.
-    double level_tolerance = 1e-4;
-    /// Probe step used to detect resource-bottlenecked entities.
-    double probe_delta = 1e-3;
-    int bisection_iters = 48;
     /// true: the paper's model — the batch workload bargains as one
     /// hypothetical-aggregate entity. false: each placed job bargains
     /// individually (ablation; ignores queued jobs' needs).

@@ -16,13 +16,11 @@ namespace {
 /// skips do not consume a "tried" slot, matching the sequential loops.
 class CandidateStream {
  public:
-  CandidateStream(const PlacementSnapshot& snap,
-                  const PlacementOptimizer::Options& options, int node,
+  CandidateStream(const PlacementSnapshot& snap, int node,
                   const PlacementMatrix& best,
                   const PlacementEvaluation& best_eval,
                   const std::vector<int>& wishes)
       : snap_(snap),
-        options_(options),
         node_(node),
         best_(best),
         wishes_(wishes) {
@@ -76,7 +74,7 @@ class CandidateStream {
         base_ready_ = true;
       }
       while (wish_pos_ < wishes_.size() &&
-             tried_ < options_.max_wishes_tried) {
+             tried_ < PlacementOptimizer::kMaxWishesTried) {
         const int w = wishes_[wish_pos_++];
         if (snap_.IsJobEntity(w)) {
           if (working_.InstanceCount(w) > 0) continue;
@@ -103,7 +101,7 @@ class CandidateStream {
       mig_free_ready_ = true;
     }
     while (donor_pos_ < donors_.size() &&
-           mig_tried_ < options_.max_migrations_tried) {
+           mig_tried_ < PlacementOptimizer::kMaxMigrationsTried) {
       const int donor = donors_[donor_pos_++];
       if (snap_.EntityMemory(donor) > mig_free_ + kEpsilon) continue;
       PlacementMatrix candidate = best_;
@@ -120,7 +118,6 @@ class CandidateStream {
   }
 
   const PlacementSnapshot& snap_;
-  const PlacementOptimizer::Options& options_;
   const int node_;
   const PlacementMatrix& best_;
   const std::vector<int>& wishes_;
@@ -159,9 +156,6 @@ PlacementOptimizer::PlacementOptimizer(const PlacementSnapshot* snapshot,
       evaluator_(snapshot, options_.evaluator) {
   MWP_CHECK(snapshot_ != nullptr);
   MWP_CHECK(options_.max_sweeps >= 1);
-  MWP_CHECK(options_.max_changes_per_node >= 1);
-  MWP_CHECK(options_.max_wishes_tried >= 1);
-  MWP_CHECK(options_.max_migrations_tried >= 0);
   MWP_CHECK(options_.search_threads >= 0);
   lanes_ = ResolveLanes(options_.search_threads);
   scratches_.resize(static_cast<std::size_t>(lanes_));
@@ -205,13 +199,12 @@ std::vector<int> PlacementOptimizer::WishList(
 bool PlacementOptimizer::TryImproveNode(int node, Result& result) const {
   const PlacementSnapshot& snap = *snapshot_;
   const std::vector<int> wishes = WishList(result.placement, result.evaluation);
-  CandidateStream stream(snap, options_, node, result.placement,
-                         result.evaluation, wishes);
+  CandidateStream stream(snap, node, result.placement, result.evaluation,
+                         wishes);
 
   if (lanes_ <= 1) {
     PlacementMatrix candidate;
     while (stream.Next(&candidate)) {
-      if (!EvaluationBudgetLeft(result)) return false;
       PlacementEvaluation cand_eval =
           evaluator_.Evaluate(candidate, scratches_[0], &result.evaluation);
       ++result.evaluations;
@@ -225,25 +218,17 @@ bool PlacementOptimizer::TryImproveNode(int node, Result& result) const {
     return false;
   }
 
-  // Parallel search: pull a chunk of candidates (never more than the
-  // evaluation budget allows), score them concurrently, then commit the
-  // first winner in enumeration order. Candidates past the winner are
+  // Parallel search: pull a chunk of candidates, score them concurrently,
+  // then commit the first winner in enumeration order. Candidates past the winner are
   // speculative work the sequential order never reaches — their results
   // are discarded and they do not count as evaluations.
   const std::size_t chunk_target = static_cast<std::size_t>(lanes_) * 2;
   std::vector<PlacementMatrix> chunk;
   std::vector<PlacementEvaluation> evals;
   for (;;) {
-    std::size_t budget_left = chunk_target;
-    if (options_.max_evaluations != 0) {
-      if (result.evaluations >= options_.max_evaluations) return false;
-      budget_left = static_cast<std::size_t>(options_.max_evaluations -
-                                             result.evaluations);
-    }
-    const std::size_t want = std::min(chunk_target, budget_left);
     chunk.clear();
     PlacementMatrix candidate;
-    while (chunk.size() < want && stream.Next(&candidate)) {
+    while (chunk.size() < chunk_target && stream.Next(&candidate)) {
       chunk.push_back(std::move(candidate));
     }
     if (chunk.empty()) return false;
@@ -312,7 +297,6 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
   // better than nothing. Offer a whole-cluster expansion as one candidate.
   for (int w = 0; w < snap.num_tx(); ++w) {
     const int entity = snap.EntityOfTx(w);
-    if (!EvaluationBudgetLeft(result)) break;
     if (snap.tx(w).arrival_rate <= 1e-12) continue;
     PlacementMatrix candidate = result.placement;
     const int cap = snap.tx(w).max_instances;
@@ -365,7 +349,7 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
       candidate.at(w, best_node) += 1;
       added = true;
     }
-    if (added && snap.IsFeasible(candidate) && EvaluationBudgetLeft(result)) {
+    if (added && snap.IsFeasible(candidate)) {
       PlacementEvaluation cand_eval =
           evaluator_.Evaluate(candidate, scratches_[0], &result.evaluation);
       ++result.evaluations;
@@ -383,8 +367,7 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
       // A crashed node can host nothing; every candidate targeting it would
       // fail IsFeasible, so skip the whole stream.
       if (!snap.NodeOnline(node)) continue;
-      for (int change = 0; change < options_.max_changes_per_node; ++change) {
-        if (!EvaluationBudgetLeft(result)) return result;
+      for (int change = 0; change < kMaxChangesPerNode; ++change) {
         if (!TryImproveNode(node, result)) break;
         improved = true;
       }

@@ -102,18 +102,13 @@ struct TraceTxInput {
 /// The solver configuration of the recording run (PlacementOptimizer,
 /// PlacementEvaluator and LoadDistributor options that shape the search).
 /// search_threads is deliberately absent: the chosen placement is identical
-/// for every lane count, so replay may pick its own.
+/// for every lane count, so replay may pick its own. The solver's fixed
+/// loop bounds and distributor tolerances are not fields: the exporter
+/// writes them as literals and the reader checks them against core's
+/// constants.
 struct TraceSolverOptions {
   int max_sweeps = 2;
-  int max_changes_per_node = 8;
-  int max_wishes_tried = 8;
-  int max_migrations_tried = 3;
-  int max_evaluations = 0;
   double tie_tolerance = 0.02;
-  std::vector<double> grid;  ///< empty = library default sampling grid
-  double level_tolerance = 1e-4;
-  double probe_delta = 1e-3;
-  int bisection_iters = 48;
   bool batch_aggregate = true;
   /// Sharded-optimizer configuration (0 cell_size = monolithic solve; the
   /// three fields are then omitted from exports, keeping pre-sharding

@@ -138,16 +138,17 @@ void WriteInputObject(std::ostream& os, const CycleInputRecord& in) {
        << ",\"nodes\":" << JsonArray(t.current_nodes) << "}";
   }
   const TraceSolverOptions& o = in.options;
+  // The search's loop bounds, the default sampling grid ([]) and the
+  // distributor's tolerances are fixed in core (PlacementOptimizer::k*,
+  // LoadDistributor::k*). mwp_obs does not link core, so they are written
+  // as literals; the trace reader rejects any value but core's, so a drift
+  // here fails every record-then-replay test.
   os << "],\"options\":{\"max_sweeps\":" << o.max_sweeps
-     << ",\"max_changes_per_node\":" << o.max_changes_per_node
-     << ",\"max_wishes_tried\":" << o.max_wishes_tried
-     << ",\"max_migrations_tried\":" << o.max_migrations_tried
-     << ",\"max_evaluations\":" << o.max_evaluations
+     << ",\"max_changes_per_node\":8,\"max_wishes_tried\":8"
+        ",\"max_migrations_tried\":3,\"max_evaluations\":0"
      << ",\"tie_tolerance\":" << JsonNumber(o.tie_tolerance)
-     << ",\"grid\":" << JsonArray(o.grid)
-     << ",\"level_tolerance\":" << JsonNumber(o.level_tolerance)
-     << ",\"probe_delta\":" << JsonNumber(o.probe_delta)
-     << ",\"bisection_iters\":" << o.bisection_iters
+     << ",\"grid\":[],\"level_tolerance\":1e-04,\"probe_delta\":0.001"
+        ",\"bisection_iters\":48"
      << ",\"batch_aggregate\":" << (o.batch_aggregate ? "true" : "false");
   if (o.cell_size > 0) {
     // Sharded-run options; omitted for monolithic runs so pre-sharding

@@ -113,11 +113,7 @@ bool ValidInputShape(const obs::CycleTrace& trace, CycleReplayDiff& diff) {
       return reject("app " + std::to_string(a) + " separated from itself");
     }
   }
-  const obs::TraceSolverOptions& opt = in.options;
-  if (opt.max_sweeps < 1 || opt.max_changes_per_node < 1 ||
-      opt.max_wishes_tried < 1 || opt.max_migrations_tried < 0 ||
-      !(opt.tie_tolerance >= 0.0) || !(opt.level_tolerance > 0.0) ||
-      !(opt.probe_delta > 0.0) || opt.bisection_iters < 1) {
+  if (in.options.max_sweeps < 1 || !(in.options.tie_tolerance >= 0.0)) {
     return reject("solver options out of range");
   }
   for (const obs::TracePlacementCell& cell : decision.placement) {
@@ -166,10 +162,18 @@ bool ValidInputShape(const obs::CycleTrace& trace, CycleReplayDiff& diff) {
 /// The checks that need the reconstructed snapshot: every search starts by
 /// distributing CPU over the current placement, which must fit the
 /// health-adjusted cluster, and every job must have work left (completed
-/// jobs cannot enter the hypothetical RPF).
-bool ValidSnapshot(const PlacementSnapshot& snapshot, CycleReplayDiff& diff) {
+/// jobs cannot enter the hypothetical RPF). The recorded decision must fit
+/// too: the optimizer only ever commits feasible placements, so one that
+/// overfills a node, gives a job two instances or a tx app more than its
+/// max_instances is impossible, not merely different.
+bool ValidSnapshot(const PlacementSnapshot& snapshot,
+                   const PlacementMatrix& recorded, CycleReplayDiff& diff) {
   if (!snapshot.IsFeasible(snapshot.current_placement())) {
     AddDetail(diff, "recorded current placement does not fit the cluster");
+    return false;
+  }
+  if (!snapshot.IsFeasible(recorded)) {
+    AddDetail(diff, "recorded decision does not fit the cluster");
     return false;
   }
   for (int j = 0; j < snapshot.num_jobs(); ++j) {
@@ -299,16 +303,8 @@ PlacementOptimizer::Options ReconstructedCycle::OptimizerOptions(
     int search_threads) const {
   PlacementOptimizer::Options options;
   options.max_sweeps = options_.max_sweeps;
-  options.max_changes_per_node = options_.max_changes_per_node;
-  options.max_wishes_tried = options_.max_wishes_tried;
-  options.max_migrations_tried = options_.max_migrations_tried;
-  options.max_evaluations = options_.max_evaluations;
   options.search_threads = search_threads;
   options.evaluator.tie_tolerance = options_.tie_tolerance;
-  options.evaluator.grid = options_.grid;
-  options.evaluator.distributor.level_tolerance = options_.level_tolerance;
-  options.evaluator.distributor.probe_delta = options_.probe_delta;
-  options.evaluator.distributor.bisection_iters = options_.bisection_iters;
   options.evaluator.distributor.batch_aggregate = options_.batch_aggregate;
   options.evaluator.objective.kind =
       static_cast<FairnessObjectiveKind>(options_.objective);
@@ -346,7 +342,12 @@ CycleReplayDiff ReplayCycle(const obs::CycleTrace& trace,
 
   ReconstructedCycle cycle(*trace.input);
   const PlacementSnapshot& snapshot = cycle.snapshot();
-  if (!ValidSnapshot(snapshot, diff)) {
+  // Recorded decision as a matrix over the reconstructed snapshot.
+  PlacementMatrix recorded(snapshot.num_entities(), snapshot.num_nodes());
+  for (const obs::TracePlacementCell& cell : trace.decision->placement) {
+    recorded.at(cell.entity, cell.node) = cell.count;
+  }
+  if (!ValidSnapshot(snapshot, recorded, diff)) {
     diff.shape_mismatch = true;
     diff.verdict = Verdict::kWorse;
     return diff;
@@ -377,12 +378,6 @@ CycleReplayDiff ReplayCycle(const obs::CycleTrace& trace,
   } else {
     const PlacementOptimizer optimizer(&snapshot, solver_options);
     result = optimizer.Optimize();
-  }
-
-  // Recorded decision as a matrix over the reconstructed snapshot.
-  PlacementMatrix recorded(snapshot.num_entities(), snapshot.num_nodes());
-  for (const obs::TracePlacementCell& cell : trace.decision->placement) {
-    recorded.at(cell.entity, cell.node) = cell.count;
   }
 
   for (int e = 0; e < snapshot.num_entities(); ++e) {

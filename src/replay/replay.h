@@ -16,7 +16,7 @@
 //     recording run's tie tolerance.
 //
 // The optimizer is deterministic for any search_threads value and the
-// incremental evaluator is bit-identical to the from-scratch path, so a
+// evaluator's caches return the bits a fresh computation would, so a
 // replay in the same build reproduces the recorded placements exactly and
 // reports 0 cell diffs and 0 RP drift. Across commits, a drift or placement
 // delta means a behaviour change in the solver stack — the golden traces

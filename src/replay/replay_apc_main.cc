@@ -57,7 +57,8 @@ int Usage(const char* argv0) {
 }
 
 // Strict flag values: the whole text must parse, and none of this tool's
-// numeric flags takes a negative value. Throws mwp::FlagError.
+// numeric flags takes a negative value (--override-sweeps needs one sweep).
+// Throws mwp::FlagError.
 double NonNegativeDouble(const char* flag, const char* text) {
   const double value = mwp::ParseFlagDouble(flag, text);
   if (value < 0.0) {
@@ -67,11 +68,11 @@ double NonNegativeDouble(const char* flag, const char* text) {
   return value;
 }
 
-int NonNegativeInt(const char* flag, const char* text) {
+int IntAtLeast(const char* flag, const char* text, int min) {
   const std::int64_t value = mwp::ParseFlagInt(flag, text);
-  if (value < 0 || value > std::numeric_limits<int>::max()) {
-    throw mwp::FlagError(std::string("flag --") + flag +
-                         " must be a non-negative int, got '" + text + "'");
+  if (value < min || value > std::numeric_limits<int>::max()) {
+    throw mwp::FlagError(std::string("flag --") + flag + " must be an int >= " +
+                         std::to_string(min) + ", got '" + text + "'");
   }
   return static_cast<int>(value);
 }
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--threads") {
         const char* v = next("--threads");
         if (v == nullptr) return Usage(argv[0]);
-        options.search_threads = NonNegativeInt("threads", v);
+        options.search_threads = IntAtLeast("threads", v, 0);
       } else if (arg == "--override-tie-tolerance") {
         const char* v = next("--override-tie-tolerance");
         if (v == nullptr) return Usage(argv[0]);
@@ -121,15 +122,15 @@ int main(int argc, char** argv) {
       } else if (arg == "--override-sweeps") {
         const char* v = next("--override-sweeps");
         if (v == nullptr) return Usage(argv[0]);
-        options.override_sweeps = NonNegativeInt("override-sweeps", v);
+        options.override_sweeps = IntAtLeast("override-sweeps", v, 1);
       } else if (arg == "--override-cell-size") {
         const char* v = next("--override-cell-size");
         if (v == nullptr) return Usage(argv[0]);
-        options.override_cell_size = NonNegativeInt("override-cell-size", v);
+        options.override_cell_size = IntAtLeast("override-cell-size", v, 0);
       } else if (arg == "--min-cycles") {
         const char* v = next("--min-cycles");
         if (v == nullptr) return Usage(argv[0]);
-        min_cycles = NonNegativeInt("min-cycles", v);
+        min_cycles = IntAtLeast("min-cycles", v, 0);
       } else if (arg == "--validate") {
         validate_only = true;
       } else if (arg == "--diff") {

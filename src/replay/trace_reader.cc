@@ -7,10 +7,13 @@
 #include <limits>
 #include <span>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "batch/job.h"
 #include "cluster/cluster.h"
+#include "core/load_distributor.h"
+#include "core/placement_optimizer.h"
 
 namespace mwp::replay {
 namespace {
@@ -375,6 +378,26 @@ std::vector<NodeId> GetNodeArray(Ctx& ctx, const JsonValue& obj,
   return out;
 }
 
+/// Consumes `opts[key]`, a solver setting that is a constant of this build
+/// (PlacementOptimizer::k*, LoadDistributor::k*): a recording made with any
+/// other value names a search this build cannot reproduce.
+template <typename Number>
+void GetPinned(Ctx& ctx, const JsonValue& opts, const char* key,
+               Number want) {
+  Number got{};
+  if constexpr (std::is_integral_v<Number>) {
+    got = GetInt<Number>(ctx, opts, key);
+  } else {
+    got = GetDouble(ctx, opts, key);
+  }
+  if (ctx.ok && !(got == want)) {
+    char text[32];
+    const auto end = std::to_chars(text, text + sizeof(text), want).ptr;
+    ctx.Fail(std::string("key 'input.options.") + key + "' must be " +
+             std::string(text, end));
+  }
+}
+
 /// Whether `value` is an array of exactly `size` elements (a placement cell
 /// or a separation pair).
 bool IsTuple(const JsonValue& value, std::size_t size) {
@@ -442,15 +465,22 @@ obs::CycleInputRecord ReadInput(Ctx& ctx, const JsonValue& obj) {
   if (const JsonValue* opts = Get(ctx, obj, "options"); opts != nullptr) {
     obs::TraceSolverOptions& o = in.options;
     o.max_sweeps = GetInt<int>(ctx, *opts, "max_sweeps");
-    o.max_changes_per_node = GetInt<int>(ctx, *opts, "max_changes_per_node");
-    o.max_wishes_tried = GetInt<int>(ctx, *opts, "max_wishes_tried");
-    o.max_migrations_tried = GetInt<int>(ctx, *opts, "max_migrations_tried");
-    o.max_evaluations = GetInt<int>(ctx, *opts, "max_evaluations");
+    GetPinned(ctx, *opts, "max_changes_per_node",
+              PlacementOptimizer::kMaxChangesPerNode);
+    GetPinned(ctx, *opts, "max_wishes_tried",
+              PlacementOptimizer::kMaxWishesTried);
+    GetPinned(ctx, *opts, "max_migrations_tried",
+              PlacementOptimizer::kMaxMigrationsTried);
+    GetPinned(ctx, *opts, "max_evaluations", 0);  // no evaluation cap
     o.tie_tolerance = GetDouble(ctx, *opts, "tie_tolerance");
-    o.grid = GetDoubleArray(ctx, *opts, "grid");
-    o.level_tolerance = GetDouble(ctx, *opts, "level_tolerance");
-    o.probe_delta = GetDouble(ctx, *opts, "probe_delta");
-    o.bisection_iters = GetInt<int>(ctx, *opts, "bisection_iters");
+    // The evaluator always samples HypotheticalRpf::DefaultGrid(), which
+    // the schema spells as an empty grid.
+    if (!GetDoubleArray(ctx, *opts, "grid").empty() && ctx.ok) {
+      ctx.Fail("key 'input.options.grid' must be []");
+    }
+    GetPinned(ctx, *opts, "level_tolerance", LoadDistributor::kLevelTolerance);
+    GetPinned(ctx, *opts, "probe_delta", LoadDistributor::kProbeDelta);
+    GetPinned(ctx, *opts, "bisection_iters", LoadDistributor::kBisectionIters);
     o.batch_aggregate = GetBool(ctx, *opts, "batch_aggregate");
     // Sharded-run group, emitted only when cell_size > 0; absent, the
     // TraceSolverOptions defaults (a monolithic solve) stand.

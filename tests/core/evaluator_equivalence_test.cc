@@ -1,24 +1,29 @@
-// Property test: the incremental evaluation engine (column cache, scratch
-// reuse, bound-based early exit, parallel candidate search) is bit-for-bit
-// equivalent to a freshly-constructed sequential evaluator. Every speedup in
-// the hot path is justified by an exactness argument (memoized values are
-// the exact doubles recomputation would produce, summation orders are
-// preserved); this test checks the end-to-end claim over randomized
-// snapshots with exact ==, not tolerances.
+// Property tests: the evaluation engine (column cache, distributor memos,
+// scratch reuse, bound-based early exit, parallel candidate search) is
+// bit-for-bit equivalent to scoring from scratch. Every speedup in the hot
+// path is justified by an exactness argument (memoized values are the exact
+// doubles recomputation would produce, summation orders are preserved);
+// these tests check the end-to-end claim over randomized snapshots with
+// exact ==, not tolerances. The from-scratch oracle is
+// tests/core/reference_evaluator.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/evaluator.h"
 #include "core/placement_optimizer.h"
+#include "tests/core/reference_evaluator.h"
 #include "tests/core/test_fixtures.h"
 
 namespace mwp {
 namespace {
 
 using testing_fixtures::SnapshotBuilder;
+using testing_oracle::ReferenceEvaluate;
 
 /// A small random mixed-workload snapshot: a few nodes, a batch of jobs in
 /// random states, and up to two transactional apps.
@@ -92,9 +97,39 @@ SnapshotBuilder RandomSnapshot(Rng& rng) {
   return b;
 }
 
-PlacementOptimizer::Options ReferenceOptions() {
+/// Fisher-Yates over `v` with the test's seeded generator.
+template <typename T>
+void Shuffle(std::vector<T>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(v[i - 1], v[j]);
+  }
+}
+
+/// A random placement that passes IsFeasible: entities in random order,
+/// each offered a few random nodes, an instance kept only while the whole
+/// placement stays feasible.
+PlacementMatrix RandomFeasiblePlacement(const PlacementSnapshot& snap,
+                                        Rng& rng) {
+  PlacementMatrix p(snap.num_entities(), snap.num_nodes());
+  std::vector<int> order(static_cast<std::size_t>(snap.num_entities()));
+  for (std::size_t e = 0; e < order.size(); ++e) order[e] = static_cast<int>(e);
+  Shuffle(order, rng);
+  for (const int e : order) {
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      if (rng.Uniform01() >= 0.4) continue;
+      p.at(e, n) += 1;
+      if (!snap.IsFeasible(p)) p.at(e, n) -= 1;
+    }
+  }
+  return p;
+}
+
+/// The sequential search with every default: the reference the parallel
+/// and sharded searches must reproduce.
+PlacementOptimizer::Options SequentialOptions() {
   PlacementOptimizer::Options o;
-  o.evaluator.incremental = false;
   o.search_threads = 1;
   return o;
 }
@@ -117,16 +152,75 @@ void ExpectIdentical(const PlacementOptimizer::Result& got,
       << "seed " << seed;
 }
 
+/// `got` (scored against reject bound `bound`) equals the from-scratch
+/// `want` in every field the evaluator fills; the sorted vector and change
+/// list only when the bound did not cut the evaluation short, which must
+/// happen exactly when `want`'s minimum loses at index 0.
+void ExpectMatchesReference(const PlacementEvaluation& got,
+                            const PlacementEvaluation& want,
+                            const PlacementEvaluation& bound,
+                            double tie_tolerance, std::uint64_t seed) {
+  EXPECT_EQ(got.entity_utilities, want.entity_utilities) << "seed " << seed;
+  EXPECT_EQ(got.distribution.totals, want.distribution.totals)
+      << "seed " << seed;
+  EXPECT_EQ(got.job_future_speeds, want.job_future_speeds) << "seed " << seed;
+  EXPECT_EQ(got.batch_allocation, want.batch_allocation) << "seed " << seed;
+  EXPECT_EQ(got.tx_allocation, want.tx_allocation) << "seed " << seed;
+  const bool loses_at_min =
+      !want.sorted_utilities.empty() && !bound.sorted_utilities.empty() &&
+      want.sorted_utilities[0] - bound.sorted_utilities[0] < -tie_tolerance;
+  EXPECT_EQ(got.rejected_by_bound, loses_at_min) << "seed " << seed;
+  if (!got.rejected_by_bound) {
+    EXPECT_EQ(got.sorted_utilities, want.sorted_utilities) << "seed " << seed;
+    EXPECT_EQ(got.changes, want.changes) << "seed " << seed;
+  }
+}
+
 TEST(EvaluatorEquivalenceTest, IncrementalMatchesReferenceOnRandomSnapshots) {
   constexpr int kSnapshots = 220;
+  constexpr int kRandomPlacements = 24;
   for (std::uint64_t seed = 1; seed <= kSnapshots; ++seed) {
     Rng rng(seed);
     const SnapshotBuilder b = RandomSnapshot(rng);
     const PlacementSnapshot snap = b.Build();
+    const PlacementMatrix& current = snap.current_placement();
+    const PlacementEvaluation incumbent = ReferenceEvaluate(snap, current);
 
-    const PlacementOptimizer optimized(&snap);  // defaults: all engines on
-    const PlacementOptimizer reference(&snap, ReferenceOptions());
-    ExpectIdentical(optimized.Optimize(), reference.Optimize(), seed);
+    // A default search warms its evaluator's caches and memos with every
+    // candidate it scores; its winner was scored through them mid-search.
+    const PlacementOptimizer::Result result =
+        PlacementOptimizer(&snap).Optimize();
+    const PlacementEvaluation winner = ReferenceEvaluate(snap, result.placement);
+    EXPECT_EQ(result.incumbent_utilities, incumbent.sorted_utilities)
+        << "seed " << seed;
+    ExpectMatchesReference(result.evaluation, winner, PlacementEvaluation{},
+                           0.0, seed);
+
+    // One evaluator and one scratch score the incumbent, the winner and
+    // random feasible placements twice, each pass in its own shuffled order:
+    // the first pass mixes memo misses and hits, the second is served from
+    // the memos the first left behind.
+    std::vector<PlacementMatrix> placements = {current, result.placement};
+    for (int k = 0; k < kRandomPlacements; ++k) {
+      placements.push_back(RandomFeasiblePlacement(snap, rng));
+    }
+    std::vector<PlacementEvaluation> want;
+    for (const PlacementMatrix& p : placements) {
+      want.push_back(ReferenceEvaluate(snap, p));
+    }
+    const PlacementEvaluator evaluator(&snap);
+    EvalScratch scratch;
+    const double tie_tolerance = evaluator.options().tie_tolerance;
+    std::vector<std::size_t> order(placements.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (int pass = 0; pass < 2; ++pass) {
+      Shuffle(order, rng);
+      for (const std::size_t i : order) {
+        ExpectMatchesReference(
+            evaluator.Evaluate(placements[i], scratch, &incumbent), want[i],
+            incumbent, tie_tolerance, seed);
+      }
+    }
     if (HasFailure()) break;
   }
 }
@@ -142,7 +236,7 @@ TEST(EvaluatorEquivalenceTest, ParallelSearchMatchesReference) {
     const PlacementSnapshot snap = b.Build();
 
     const PlacementOptimizer optimized(&snap, parallel);
-    const PlacementOptimizer reference(&snap, ReferenceOptions());
+    const PlacementOptimizer reference(&snap, SequentialOptions());
     ExpectIdentical(optimized.Optimize(), reference.Optimize(), seed);
     if (HasFailure()) break;
   }

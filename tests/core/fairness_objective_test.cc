@@ -317,9 +317,8 @@ TEST(FairnessDefaultEquivalenceTest, ByteIdenticalAcrossEnginesAndThreads) {
     const SnapshotBuilder b = RandomSnapshot(rng);
     const PlacementSnapshot snap = b.Build();
 
-    // Reference: sequential, non-incremental, default objective.
+    // Reference: the sequential search with the default objective.
     PlacementOptimizer::Options reference_options;
-    reference_options.evaluator.incremental = false;
     reference_options.search_threads = 1;
     const PlacementOptimizer reference(&snap, reference_options);
     const PlacementOptimizer::Result want = reference.Optimize();

@@ -61,7 +61,6 @@ CycleInputRecord GoldenInput() {
   tx.arrival_rate = 100.0;
   tx.current_nodes = {0};
   in.tx_apps = {tx};
-  in.options.grid = {0.5, 1.0};
   in.pins = {{2, {0}}};
   in.separations = {{1, 2}};
   return in;
@@ -116,7 +115,7 @@ std::vector<CycleTrace> GoldenTraces() {
 // kTraceSchemaVersion and regenerate BOTH goldens deliberately.
 constexpr const char* kGoldenJsonl =
     R"({"record":"header","schema_version":2,"run_id":"golden-run","experiment":"golden","seed":7,"control_cycle":600,"build_type":"Release","git_sha":"deadbeef","num_cycles":2}
-{"record":"cycle","run_id":"golden-run","cycle":0,"time":0,"avg_job_rp":0.75,"min_job_rp":0.5,"num_jobs":2,"running_jobs":2,"queued_jobs":0,"suspended_jobs":0,"batch_allocation":1024,"tx_allocation":512,"cluster_utilization":0.75,"starts":2,"stops":0,"suspends":0,"resumes":0,"migrations":0,"failed_operations":0,"evaluations":3,"shortcut":false,"solver_seconds":0.25,"cache_hits":4,"cache_misses":2,"distribute_calls":6,"nodes_online":2,"nodes_degraded":1,"nodes_offline":0,"available_cpu":3000,"nominal_cpu":3200,"rp_before":[0.5,0.75],"rp_after":[0.75,0.75],"tx_utilities":[0.5],"tx_allocations":[512],"input":{"now":0,"control_cycle":600,"nodes":[{"cpus":2,"speed":3000,"memory":4096,"state":0,"speed_factor":1}],"jobs":[{"id":1,"submit_time":0,"desired_start":0,"completion_goal":1200,"work_done":0,"status":1,"node":0,"overhead_until":0,"place_overhead":30,"migrate_overhead":60,"memory":512,"max_speed":1500,"min_speed":0,"stages":[{"work":90000,"max_speed":1500,"min_speed":0,"memory":512}]}],"tx":[{"id":2,"name":"tx","memory":256,"response_time_goal":0.5,"demand_per_request":6,"min_response_time":0.05,"saturation":0.66,"max_instances":2,"arrival_rate":100,"nodes":[0]}],"options":{"max_sweeps":2,"max_changes_per_node":8,"max_wishes_tried":8,"max_migrations_tried":3,"max_evaluations":0,"tie_tolerance":0.02,"grid":[0.5,1],"level_tolerance":1e-04,"probe_delta":0.001,"bisection_iters":48,"batch_aggregate":true},"pins":[{"app":2,"nodes":[0]}],"separations":[[1,2]]},"decision":{"placement":[[1,0,1],[2,0,1]],"allocations":[1024,512]}}
+{"record":"cycle","run_id":"golden-run","cycle":0,"time":0,"avg_job_rp":0.75,"min_job_rp":0.5,"num_jobs":2,"running_jobs":2,"queued_jobs":0,"suspended_jobs":0,"batch_allocation":1024,"tx_allocation":512,"cluster_utilization":0.75,"starts":2,"stops":0,"suspends":0,"resumes":0,"migrations":0,"failed_operations":0,"evaluations":3,"shortcut":false,"solver_seconds":0.25,"cache_hits":4,"cache_misses":2,"distribute_calls":6,"nodes_online":2,"nodes_degraded":1,"nodes_offline":0,"available_cpu":3000,"nominal_cpu":3200,"rp_before":[0.5,0.75],"rp_after":[0.75,0.75],"tx_utilities":[0.5],"tx_allocations":[512],"input":{"now":0,"control_cycle":600,"nodes":[{"cpus":2,"speed":3000,"memory":4096,"state":0,"speed_factor":1}],"jobs":[{"id":1,"submit_time":0,"desired_start":0,"completion_goal":1200,"work_done":0,"status":1,"node":0,"overhead_until":0,"place_overhead":30,"migrate_overhead":60,"memory":512,"max_speed":1500,"min_speed":0,"stages":[{"work":90000,"max_speed":1500,"min_speed":0,"memory":512}]}],"tx":[{"id":2,"name":"tx","memory":256,"response_time_goal":0.5,"demand_per_request":6,"min_response_time":0.05,"saturation":0.66,"max_instances":2,"arrival_rate":100,"nodes":[0]}],"options":{"max_sweeps":2,"max_changes_per_node":8,"max_wishes_tried":8,"max_migrations_tried":3,"max_evaluations":0,"tie_tolerance":0.02,"grid":[],"level_tolerance":1e-04,"probe_delta":0.001,"bisection_iters":48,"batch_aggregate":true},"pins":[{"app":2,"nodes":[0]}],"separations":[[1,2]]},"decision":{"placement":[[1,0,1],[2,0,1]],"allocations":[1024,512]}}
 {"record":"cycle","run_id":"golden-run","cycle":1,"time":600,"avg_job_rp":null,"min_job_rp":null,"num_jobs":0,"running_jobs":0,"queued_jobs":0,"suspended_jobs":0,"batch_allocation":0,"tx_allocation":0,"cluster_utilization":0,"starts":0,"stops":0,"suspends":0,"resumes":0,"migrations":0,"failed_operations":0,"evaluations":0,"shortcut":true,"solver_seconds":0,"cache_hits":0,"cache_misses":0,"distribute_calls":0,"nodes_online":3,"nodes_degraded":0,"nodes_offline":0,"available_cpu":3200,"nominal_cpu":3200,"rp_before":[],"rp_after":[],"tx_utilities":[],"tx_allocations":[]}
 )";
 

@@ -116,11 +116,12 @@ TEST(ReplayTest, CyclesWithoutInputAreSkippedNotFailed) {
 }
 
 TEST(ReplayTest, CorruptedPlacementCellIsDetected) {
-  // Bump one recorded placement count: the replayed decision no longer
-  // matches, which must regress the cycle even though the solver's own
-  // objective is unchanged (verdict stays within tie tolerance).
+  // Drop one recorded placement cell: the decision still fits the cluster,
+  // but the replayed one no longer matches it, which must regress the cycle
+  // even though the solver's own objective is unchanged (verdict stays
+  // within tie tolerance).
   obs::CycleTrace cycle = FullTrace().cycles[BusyCycleIndex(FullTrace())];
-  cycle.decision->placement[0].count += 1;
+  cycle.decision->placement.erase(cycle.decision->placement.begin());
 
   const ReplayOptions options;
   const CycleReplayDiff diff = ReplayCycle(cycle, options);
@@ -168,9 +169,11 @@ TEST(ReplayTest, HostileInputIsRejectedNotCrash) {
   // or a buggy exporter might, then takes it through the CLI's path: export,
   // parse + ValidateTrace (`replay_apc --validate`), replay (`--trace`).
   // Out-of-range enums must fail the reader. Every other edit passes the
-  // schema but breaks a library contract or would compare as agreement, so
-  // replay must report a shape mismatch instead of aborting through an
-  // MWP_CHECK or calling the cycle "equal".
+  // schema but breaks a library contract, would compare as agreement, or
+  // records a decision the optimizer could never commit, so replay must
+  // report a shape mismatch (with the named reason, where a row gives one)
+  // instead of aborting through an MWP_CHECK, calling the cycle "equal" or
+  // reporting a mere placement diff.
   std::string error;
   const auto golden = ParseTraceFile(
       std::string(MWP_GOLDEN_TRACE_DIR) + "/exp1_small.jsonl", &error);
@@ -205,7 +208,11 @@ TEST(ReplayTest, HostileInputIsRejectedNotCrash) {
     const char* name;
     std::function<void(obs::CycleTrace&)> edit;
     bool reader_rejects = false;
+    /// When set, replay's first detail line.
+    const char* detail = nullptr;
   };
+  constexpr const char* kUnfitDecision =
+      "recorded decision does not fit the cluster";
   const std::vector<Mutant> mutants = {
       {"job node -5",
        [&](obs::CycleTrace& t) { placed_job(*t.input).current_node = -5; }},
@@ -234,8 +241,9 @@ TEST(ReplayTest, HostileInputIsRejectedNotCrash) {
       {"degraded node speed_factor 2", degrade(2.0)},
       {"node speed -100",
        [](obs::CycleTrace& t) { t.input->nodes[0].cpu_speed = -100.0; }},
-      {"bisection_iters 0",
-       [](obs::CycleTrace& t) { t.input->options.bisection_iters = 0; }},
+      {"max_sweeps 0",
+       [](obs::CycleTrace& t) { t.input->options.max_sweeps = 0; }, false,
+       "solver options out of range"},
       {"work_done -1",
        [&](obs::CycleTrace& t) { placed_job(*t.input).work_done = -1.0; }},
       {"work_done past the job's total work",
@@ -261,6 +269,41 @@ TEST(ReplayTest, HostileInputIsRejectedNotCrash) {
        [](obs::CycleTrace& t) {
          t.rp_after[0] = std::numeric_limits<double>::quiet_NaN();
        }},
+      {"decision puts every job on one node",
+       [](obs::CycleTrace& t) {
+         for (obs::TracePlacementCell& cell : t.decision->placement) {
+           cell.node = 0;
+         }
+       },
+       false, kUnfitDecision},
+      {"decision gives a job two instances",
+       [](obs::CycleTrace& t) {
+         obs::TracePlacementCell twin = t.decision->placement[0];
+         twin.node = twin.node == 0 ? 1 : 0;
+         t.decision->placement.push_back(twin);
+       },
+       false, kUnfitDecision},
+      {"decision gives a tx app more than max_instances",
+       [](obs::CycleTrace& t) {
+         obs::TraceTxInput tx;
+         tx.id = 9'999;
+         tx.name = "tx";
+         tx.memory = 1.0;
+         tx.response_time_goal = 1.0;
+         tx.demand_per_request = 1.0;
+         tx.min_response_time = 0.01;
+         tx.saturation = 100.0;
+         tx.max_instances = 1;
+         tx.arrival_rate = 1.0;
+         const int entity = static_cast<int>(t.input->jobs.size());
+         t.input->tx_apps.push_back(tx);
+         t.tx_utilities.push_back(1.0);
+         t.rp_after.push_back(1.0);
+         t.decision->placement.push_back({entity, 0, 1});
+         t.decision->placement.push_back({entity, 1, 1});
+         t.decision->allocations.push_back(0.0);
+       },
+       false, kUnfitDecision},
       {"node state 9", [](obs::CycleTrace& t) { t.input->nodes[0].state = 9; },
        true},
       {"job status 7",
@@ -286,7 +329,10 @@ TEST(ReplayTest, HostileInputIsRejectedNotCrash) {
     const CycleReplayDiff diff = ReplayCycle(parsed->cycles[busy], options);
     EXPECT_TRUE(diff.shape_mismatch);
     EXPECT_TRUE(diff.Regressed(options));
-    EXPECT_FALSE(diff.details.empty());
+    ASSERT_FALSE(diff.details.empty());
+    if (mutant.detail != nullptr) {
+      EXPECT_EQ(diff.details[0], mutant.detail);
+    }
   }
 }
 
@@ -296,7 +342,8 @@ TEST(ReplayTest, ReportNamesRegressedCycles) {
   tampered.context = FullTrace().context;
   tampered.cycles = FullTrace().cycles;
   const std::size_t busy = BusyCycleIndex(tampered);
-  tampered.cycles[busy].decision->placement[0].count += 1;
+  tampered.cycles[busy].decision->placement.erase(
+      tampered.cycles[busy].decision->placement.begin());
 
   const ReplayOptions options;
   const ReplayReport report = ReplayTrace(tampered, options);

@@ -241,15 +241,7 @@ obs::CycleInputRecord RandomInput(Rng& rng) {
     in.tx_apps.push_back(std::move(tx));
   }
   in.options.max_sweeps = static_cast<int>(rng.UniformInt(1, 4));
-  in.options.max_evaluations = static_cast<int>(rng.UniformInt(0, 1000));
   in.options.tie_tolerance = rng.Uniform(0.0, 0.1);
-  const int grid_size = static_cast<int>(rng.UniformInt(0, 2));
-  for (int g = 0; g < grid_size; ++g) {
-    in.options.grid.push_back(rng.Uniform(0.0, 1.0));
-  }
-  in.options.level_tolerance = rng.Uniform(1e-6, 1e-3);
-  in.options.probe_delta = rng.Uniform(1e-4, 1e-2);
-  in.options.bisection_iters = static_cast<int>(rng.UniformInt(8, 64));
   in.options.batch_aggregate = rng.Uniform01() < 0.5;
   if (rng.Uniform01() < 0.5) {
     obs::TracePin pin;

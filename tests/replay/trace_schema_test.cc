@@ -102,6 +102,15 @@ const SchemaCase kSchemaCases[] = {
     {"partial_objective_options", "exp1_small.jsonl", 1, R"("batch_aggregate":)", R"("objective":1,"batch_aggregate":)", "missing key 'karma_weight'"},
     {"stray_objective_option", "exp1_small.jsonl", 1, R"("batch_aggregate":)", R"("karma_cap":8,"batch_aggregate":)", "unknown key 'input.options.karma_cap'"},
     {"input_without_decision", "exp1_small.jsonl", 1, R"(,"decision":\{[^{}]*\}\}$)", "}", "missing key 'decision'"},
+    // Solver settings fixed in core: a recording with another value cannot be replayed.
+    {"pinned_max_changes_per_node", "exp1_small.jsonl", 1, R"("max_changes_per_node":8)", R"("max_changes_per_node":9)", "key 'input.options.max_changes_per_node' must be 8"},
+    {"pinned_max_wishes_tried", "exp1_small.jsonl", 1, R"("max_wishes_tried":8)", R"("max_wishes_tried":7)", "key 'input.options.max_wishes_tried' must be 8"},
+    {"pinned_max_migrations_tried", "exp1_small.jsonl", 1, R"("max_migrations_tried":3)", R"("max_migrations_tried":4)", "key 'input.options.max_migrations_tried' must be 3"},
+    {"pinned_max_evaluations", "exp1_small.jsonl", 1, R"("max_evaluations":0)", R"("max_evaluations":5)", "key 'input.options.max_evaluations' must be 0"},
+    {"pinned_grid", "exp1_small.jsonl", 1, R"("grid":\[\])", R"("grid":[0.5,1])", "key 'input.options.grid' must be []"},
+    {"pinned_level_tolerance", "exp1_small.jsonl", 1, R"("level_tolerance":1e-04)", R"("level_tolerance":1e-05)", "key 'input.options.level_tolerance' must be 1e-04"},
+    {"pinned_probe_delta", "exp1_small.jsonl", 1, R"("probe_delta":0\.001)", R"("probe_delta":0.002)", "key 'input.options.probe_delta' must be 0.001"},
+    {"pinned_bisection_iters", "exp1_small.jsonl", 1, R"("bisection_iters":48)", R"("bisection_iters":47)", "key 'input.options.bisection_iters' must be 48"},
     // Input and decision objects.
     {"input_node_extra_key", "exp1_small.jsonl", 1, R"("cpus":)", R"("gpus":0,"cpus":)", "unknown key 'input.nodes[0].gpus'"},
     {"input_job_missing_key", "exp1_small.jsonl", 1, R"("desired_start":[^,]+,)", "", "missing key 'desired_start'"},
