@@ -125,6 +125,29 @@ BENCHMARK(BM_OptimizeLoaded)
     ->Args({25, 50})     // deep queue
     ->Unit(benchmark::kMillisecond);
 
+void BM_OptimizeLoadedMixed(benchmark::State& state) {
+  // BM_OptimizeLoaded plus one transactional app with an instance on every
+  // node: the search then scores tx rows (multi-node instance lists, routed
+  // per-instance loads) as well as the batch aggregate.
+  const int nodes = static_cast<int>(state.range(0));
+  const int running = nodes * 3;
+  const int queued = static_cast<int>(state.range(1));
+  BenchState bench(nodes, running, queued);
+  bench.AddWebAppOnEveryNode();
+  const PlacementSnapshot snap = bench.Snapshot();
+  int evaluations = 0;
+  for (auto _ : state) {
+    PlacementOptimizer optimizer(&snap);
+    auto result = optimizer.Optimize();
+    evaluations = result.evaluations;
+    benchmark::DoNotOptimize(result.placement);
+  }
+  state.counters["nodes"] = nodes;
+  state.counters["jobs"] = running + queued;
+  state.counters["evaluations"] = evaluations;
+}
+BENCHMARK(BM_OptimizeLoadedMixed)->Args({25, 50})->Unit(benchmark::kMillisecond);
+
 void BM_OptimizeLoadedObjective(benchmark::State& state) {
   // BM_OptimizeLoaded under each pluggable fairness objective — range(2) is
   // the wire id (0 maxmin, 1 karma, 2 pf). The karma run carries a spread

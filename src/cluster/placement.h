@@ -1,14 +1,23 @@
-// Placement and load matrices (the paper's P and L, §3.2).
+// Placements (the paper's P matrix, §3.2), dense and sparse.
 //
-// Both matrices are dense app-major arrays over a snapshot of M applications
-// and N nodes. Cell P[m][n] counts instances of application m on node n;
-// cell L[m][n] is the CPU speed (MHz) consumed by those instances. The APC
-// rebuilds these snapshots each control cycle, so the matrices are small,
-// value-semantic and cheap to copy — the optimizer copies candidate
-// placements freely while searching.
+// PlacementMatrix is a dense app-major array over a snapshot of M
+// applications and N nodes: cell P[m][n] counts instances of application m
+// on node n. It is the form placements take at the API edges — the
+// snapshot's current placement, the optimizer's result, a replayed
+// decision.
+//
+// SparsePlacement is the form the search scores. It keeps each entity's
+// instance count and hosting nodes, and each node's residents, and is
+// patched one instance at a time. The optimizer builds one from the
+// incumbent per solve and expresses every candidate as the incumbent plus a
+// PlacementMove (a few instances removed from and added to the nodes the
+// move touches), so producing, checking and scoring a candidate costs in
+// proportion to what it changed, not to M x N. A dense matrix is written
+// only for a committed winner.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,23 +129,89 @@ class PlacementMatrix : public internal::DenseMatrix<int> {
   std::string ToString() const;
 };
 
-/// First node hosting `app`, or kInvalidNode when unplaced. Allocation-free
-/// replacement for NodesOf(app).front() on single-instance entities — the
-/// evaluator calls this once per job per candidate.
-int FirstNodeOf(const PlacementMatrix& p, int app);
+/// A candidate's difference from the placement it was derived from:
+/// instances removed, then instances added, one entry per instance.
+struct PlacementMove {
+  struct Instance {
+    int entity = kInvalidApp;
+    int node = kInvalidNode;
+    bool operator==(const Instance&) const = default;
+  };
+  std::vector<Instance> removals;
+  std::vector<Instance> additions;
+  /// Every node the move touches, once each, in first-touch order.
+  std::vector<int> nodes;
 
-/// CPU-load matrix L, MHz per (app, node) cell.
-class LoadMatrix : public internal::DenseMatrix<MHz> {
+  void Clear();
+  void Remove(int entity, int node);
+  void Add(int entity, int node);
+  /// Applies the move to a dense matrix in place.
+  void ApplyTo(PlacementMatrix& p) const;
+};
+
+/// Sparse placement: per entity its instance count and an ascending
+/// (node, count) list, per node its residents as an ascending
+/// (entity, count) list. Zero cells are not stored; any other count is (a
+/// negative one only ever comes from a hand-built matrix). Both lists are
+/// kept sorted, so a placement has exactly one representation: Apply then
+/// Revert restores the structure bit for bit.
+class SparsePlacement {
  public:
-  using DenseMatrix::DenseMatrix;
+  /// One stored cell: `index` is the node in an entity's list and the
+  /// entity in a node's list.
+  struct Cell {
+    int index = 0;
+    int count = 0;
+    bool operator==(const Cell&) const = default;
+  };
 
-  /// Total CPU speed allocated to `app` (the paper's ω_m = Σ_n L[m][n]).
-  MHz AppAllocation(int app) const { return RowSum(app); }
+  SparsePlacement() = default;
+  explicit SparsePlacement(const PlacementMatrix& p) { Assign(p); }
 
-  /// Total CPU speed consumed on `node`.
-  MHz NodeLoad(int node) const { return ColSum(node); }
+  /// Rebuilds the lists from `p`, reusing their buffers.
+  void Assign(const PlacementMatrix& p);
 
-  std::string ToString() const;
+  int num_entities() const { return static_cast<int>(by_entity_.size()); }
+  int num_nodes() const { return static_cast<int>(by_node_.size()); }
+
+  /// Stored (non-zero) cells.
+  int num_cells() const { return num_cells_; }
+  /// Instances of `entity` across the cluster (the matrix row sum).
+  int InstanceCount(int entity) const {
+    return instance_count_[static_cast<std::size_t>(entity)];
+  }
+  /// Nodes hosting `entity`, ascending.
+  std::span<const Cell> NodesOf(int entity) const {
+    return by_entity_[static_cast<std::size_t>(entity)];
+  }
+  /// Entities on `node`, ascending.
+  std::span<const Cell> Residents(int node) const {
+    return by_node_[static_cast<std::size_t>(node)];
+  }
+  /// The matrix cell (entity, node).
+  int Count(int entity, int node) const;
+  /// First node with a positive count of `entity`, or kInvalidNode. O(1)
+  /// for a single-instance entity.
+  int FirstNode(int entity) const;
+
+  /// One instance more (Add) or less (Remove) in cell (entity, node).
+  void Add(int entity, int node) { Bump(entity, node, +1); }
+  void Remove(int entity, int node) { Bump(entity, node, -1); }
+  /// Applies `move` (removals, then additions); Revert undoes it.
+  void Apply(const PlacementMove& move);
+  void Revert(const PlacementMove& move);
+
+  PlacementMatrix ToMatrix() const;
+
+  bool operator==(const SparsePlacement&) const = default;
+
+ private:
+  void Bump(int entity, int node, int delta);
+
+  std::vector<std::vector<Cell>> by_entity_;
+  std::vector<std::vector<Cell>> by_node_;
+  std::vector<int> instance_count_;
+  int num_cells_ = 0;
 };
 
 /// One reconfiguration action produced by a placement controller.
@@ -163,7 +238,16 @@ const char* ToString(PlacementChange::Kind kind);
 /// over the same snapshot, pairing a removal with an addition of the same app
 /// as a migration. The caller classifies non-migration removals as stop vs
 /// suspend (that depends on workload state the matrix does not carry), via
-/// the two predicates.
+/// the two predicates. Changes come out by app, then node: per app the
+/// migrations first (i-th removed node with i-th added node), then the
+/// unpaired removals, then the unpaired additions. The cost is one compare
+/// of each app's sparse node lists.
+std::vector<PlacementChange> DiffPlacements(
+    const SparsePlacement& from, const SparsePlacement& to,
+    const std::vector<bool>& removal_is_suspend,
+    const std::vector<bool>& addition_is_resume);
+
+/// Dense overloads: build the sparse forms and diff those.
 std::vector<PlacementChange> DiffPlacements(
     const PlacementMatrix& from, const PlacementMatrix& to,
     const std::vector<bool>& removal_is_suspend,

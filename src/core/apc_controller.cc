@@ -3,13 +3,65 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 #include "common/check.h"
 #include "common/log.h"
+#include "core/feasibility_flow.h"
 #include "core/snapshot.h"
 #include "obs/stopwatch.h"
 
 namespace mwp {
+namespace {
+
+/// The first broken invariant of a solver result about to be committed, or
+/// "" when it holds: the placement is feasible (memory, online nodes, at
+/// most one instance per job and max_instances per tx app, policy
+/// constraints); its sparse loads cover exactly the placed cells and sum
+/// to each entity's total; and no node is routed more than its available
+/// CPU. Debug builds check it after every commit.
+std::string CommitInvariantViolation(const PlacementSnapshot& snapshot,
+                                     const PlacementOptimizer::Result& result) {
+  std::ostringstream os;
+  const SparsePlacement placement(result.placement);
+  if (!snapshot.IsFeasible(placement)) return "placement is infeasible";
+  const DistributionResult& dist = result.evaluation.distribution;
+  std::vector<MHz> node_load(static_cast<std::size_t>(snapshot.num_nodes()),
+                             0.0);
+  std::size_t next = 0;
+  for (int e = 0; e < snapshot.num_entities(); ++e) {
+    MHz sum = 0.0;
+    int cells = 0;
+    for (const SparsePlacement::Cell& c : placement.NodesOf(e)) {
+      if (next >= dist.loads.size() || dist.loads[next].entity != e ||
+          dist.loads[next].node != c.index) {
+        os << "no load entry for entity " << e << " on node " << c.index;
+        return os.str();
+      }
+      sum += dist.loads[next].load;
+      node_load[static_cast<std::size_t>(c.index)] += dist.loads[next].load;
+      ++next;
+      ++cells;
+    }
+    const MHz total = dist.totals[static_cast<std::size_t>(e)];
+    if (std::abs(sum - total) > kFeasibilityTol + cells * kFlowEps) {
+      os << "entity " << e << " loads sum to " << sum << ", total " << total;
+      return os.str();
+    }
+  }
+  if (next != dist.loads.size()) return "load entries for unplaced cells";
+  for (int n = 0; n < snapshot.num_nodes(); ++n) {
+    if (node_load[static_cast<std::size_t>(n)] >
+        snapshot.NodeAvailableCpu(n) + kFeasibilityTol) {
+      os << "node " << n << " routed " << node_load[static_cast<std::size_t>(n)]
+         << " MHz of " << snapshot.NodeAvailableCpu(n);
+      return os.str();
+    }
+  }
+  return "";
+}
+
+}  // namespace
 
 ApcController::ApcController(const ClusterSpec* cluster, JobQueue* queue,
                              Config config)
@@ -125,6 +177,9 @@ void ApcController::CommitCycle(const CycleCapture& capture,
   MWP_CHECK(commit_now >= capture.now);
   const PlacementSnapshot& snapshot = capture.snapshot;
   const PlacementOptimizer::Result& result = solution.result;
+  MWP_DCHECK_MSG(CommitInvariantViolation(snapshot, result).empty(),
+                 "committed solver result: "
+                     << CommitInvariantViolation(snapshot, result));
   // When the solve ran asynchronously, jobs kept executing under their old
   // allocations; settle that execution before the new decision takes
   // effect. Synchronous commits advance to the instant they are already at
@@ -300,7 +355,7 @@ void ApcController::CommitCycle(const CycleCapture& capture,
       for (int n = 0; n < snapshot.num_nodes(); ++n) {
         if (result.placement.at(entity, n) > 0) {
           instance_allocs.push_back(
-              result.evaluation.distribution.loads.at(entity, n));
+              result.evaluation.distribution.LoadAt(entity, n));
         }
       }
       const RoutingDecision routed =
@@ -363,13 +418,11 @@ void ApcController::CommitCycle(const CycleCapture& capture,
 
   // Remember the transactional per-node loads so that mid-cycle dispatch
   // knows what is genuinely free, and watch for mid-cycle completions.
+  // Per node, the apps' loads add in app order.
   tx_node_loads_.assign(static_cast<std::size_t>(cluster_->num_nodes()), 0.0);
-  for (std::size_t w = 0; w < tx_apps_.size(); ++w) {
-    const int entity = snapshot.EntityOfTx(static_cast<int>(w));
-    for (int n = 0; n < snapshot.num_nodes(); ++n) {
-      tx_node_loads_[static_cast<std::size_t>(n)] +=
-          result.evaluation.distribution.loads.at(entity, n);
-    }
+  for (const InstanceLoad& l : result.evaluation.distribution.loads) {
+    if (snapshot.IsJobEntity(l.entity)) continue;
+    tx_node_loads_[static_cast<std::size_t>(l.node)] += l.load;
   }
   if (sim != nullptr) ArmCompletionWatch(*sim);
 }

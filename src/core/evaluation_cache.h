@@ -82,6 +82,8 @@ class HypColumnCache {
 /// Reusable per-thread buffers for PlacementEvaluator::Evaluate.
 struct EvalScratch {
   DistributorScratch distributor;
+  /// The sparse form of a placement handed to the matrix overload.
+  SparsePlacement placement;
   std::vector<HypotheticalJobState> hyp_jobs;
   std::vector<int> hyp_index;  // snapshot job index per hyp entry
   std::vector<const HypotheticalRpf::Column*> columns;

@@ -15,7 +15,8 @@ PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot,
                                        Options options)
     : snapshot_(snapshot),
       options_(std::move(options)),
-      distributor_(snapshot, options_.distributor) {
+      distributor_(snapshot, options_.distributor),
+      current_(snapshot->current_placement()) {
   MWP_CHECK(snapshot_ != nullptr);
   MWP_CHECK(options_.tie_tolerance >= 0.0);
 
@@ -47,9 +48,20 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
 PlacementEvaluation PlacementEvaluator::Evaluate(
     const PlacementMatrix& p, EvalScratch& scratch,
     const PlacementEvaluation* reject_bound) const {
+  scratch.placement.Assign(p);
+  MWP_CHECK_MSG(snapshot_->IsFeasible(scratch.placement),
+                "Evaluate requires a feasible placement");
+  // Checked on every node above; nothing is left for Distribute to check.
+  return Evaluate(scratch.placement, {}, scratch, reject_bound);
+}
+
+PlacementEvaluation PlacementEvaluator::Evaluate(
+    const SparsePlacement& p, std::span<const int> changed_nodes,
+    EvalScratch& scratch, const PlacementEvaluation* reject_bound) const {
   const PlacementSnapshot& snap = *snapshot_;
   PlacementEvaluation eval;
-  eval.distribution = distributor_.Distribute(p, scratch.distributor);
+  eval.distribution =
+      distributor_.Distribute(p, changed_nodes, scratch.distributor);
   eval.entity_utilities.assign(static_cast<std::size_t>(snap.num_entities()),
                                kUtilityFloor);
   eval.job_future_speeds.assign(static_cast<std::size_t>(snap.num_jobs()), 0.0);
@@ -72,8 +84,7 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
     Seconds start_delay_at_end = 0.0;
     if (eval.distribution.placed[static_cast<std::size_t>(entity)] &&
         alloc > 0.0) {
-      const int node = FirstNodeOf(p, entity);
-      const Seconds exec_start = JobExecStart(snap, jv, node);
+      const Seconds exec_start = JobExecStart(snap, jv, p.FirstNode(entity));
       if (exec_start < cycle_end) {
         done = jv.profile->WorkAfterRunning(done, alloc, cycle_end - exec_start);
         if (jv.profile->RemainingWork(done) <= kEpsilon) {
@@ -178,8 +189,8 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
     return eval;
   }
 
-  eval.changes = DiffPlacements(snap.current_placement(), p,
-                                removal_is_suspend_, addition_is_resume_);
+  eval.changes =
+      DiffPlacements(current_, p, removal_is_suspend_, addition_is_resume_);
 
   eval.sorted_utilities = eval.entity_utilities;
   std::sort(eval.sorted_utilities.begin(), eval.sorted_utilities.end());

@@ -17,14 +17,22 @@
 // placement changes as tie-breaker (the paper keeps the incumbent when RP
 // vectors tie — Figure 1, S1 cycle 2).
 //
-// Hot path: step 3 assembles the hypothetical RPF, always over
+// Hot path: the search hands Evaluate a SparsePlacement (the incumbent
+// patched by the candidate's move) and the nodes the move touched, so
+// scoring costs in proportion to entities plus instances, never entities x
+// nodes: the distributor reads the sparse lists (and checks feasibility on
+// the touched nodes only), step 2 takes each job's node in O(1), and the
+// change list compares each entity's node list with the current
+// placement's, built once per evaluator. The matrix overloads build the
+// sparse form, check it on every node and run the same code. Step 3
+// assembles the hypothetical RPF, always over
 // HypotheticalRpf::DefaultGrid(), from per-job columns memoized in a
 // HypColumnCache instead of recomputing the W/V matrix, and all per-call
 // buffers live in an EvalScratch. The columns and their interpolation are
 // the same code a from-scratch HypotheticalRpf runs, so every evaluation is
-// bit-for-bit what a fresh evaluator would compute; the from-scratch
-// reference lives in tests/core/reference_evaluator and the equivalence
-// tests compare against it with exact ==. Evaluate also accepts an optional
+// bit-for-bit what a fresh evaluator would compute; the from-scratch,
+// dense reference lives in tests/core/reference_evaluator and the
+// equivalence tests compare against it with exact ==. Evaluate also accepts an optional
 // reject bound: a candidate whose minimum utility already loses
 // lexicographically against the bound at index 0 is rejected before the
 // full sorted vector and change list are materialized — exactly the
@@ -32,6 +40,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/placement.h"
@@ -94,6 +103,7 @@ class PlacementEvaluator {
   explicit PlacementEvaluator(const PlacementSnapshot* snapshot);
   PlacementEvaluator(const PlacementSnapshot* snapshot, Options options);
 
+  /// Scores feasible placement `p` (checked on every node).
   PlacementEvaluation Evaluate(const PlacementMatrix& p) const;
 
   /// As above with caller-provided scratch (one per thread for concurrent
@@ -103,6 +113,14 @@ class PlacementEvaluator {
   /// returned evaluation has rejected_by_bound set and omits the sorted
   /// vector and change list.
   PlacementEvaluation Evaluate(const PlacementMatrix& p, EvalScratch& scratch,
+                               const PlacementEvaluation* reject_bound) const;
+
+  /// The search's form: `p` may differ from a feasible placement only on
+  /// `changed_nodes`, the only nodes whose feasibility is checked. The
+  /// matrix overloads build the sparse form and call this.
+  PlacementEvaluation Evaluate(const SparsePlacement& p,
+                               std::span<const int> changed_nodes,
+                               EvalScratch& scratch,
                                const PlacementEvaluation* reject_bound) const;
 
   /// Lexicographic comparison of sorted utility vectors with tolerance:
@@ -126,6 +144,8 @@ class PlacementEvaluator {
   const PlacementSnapshot* snapshot_;
   Options options_;
   LoadDistributor distributor_;
+  /// The snapshot's current placement, the base of every change list.
+  SparsePlacement current_;
   /// Change-kind lookups, fixed per snapshot: removals of incomplete jobs
   /// are suspensions; additions of previously suspended jobs are resumes.
   std::vector<bool> removal_is_suspend_;

@@ -157,7 +157,7 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
   }
 }
 
-void LoadDistributor::ReadTopology(const PlacementMatrix& p,
+void LoadDistributor::ReadTopology(const SparsePlacement& p,
                                    DistributorScratch& scratch) const {
   using Kind = DistributorScratch::FillKind;
   const PlacementSnapshot& snap = *snapshot_;
@@ -184,20 +184,11 @@ void LoadDistributor::ReadTopology(const PlacementMatrix& p,
     node_cap.assign(static_cast<std::size_t>(num_nodes), 0.0);
     scratch.job_node.assign(static_cast<std::size_t>(snap.num_jobs()), -1);
     for (int j = 0; j < snap.num_jobs(); ++j) {
-      const MHz stage_max = stage_max_[static_cast<std::size_t>(j)];
-      const int* row = p.RowData(snap.EntityOfJob(j));
-      // Most jobs of a deep queue are unplaced: a branch-free test skips
-      // their rows.
-      int hosted = 0;
-      for (int n = 0; n < num_nodes; ++n) {
-        hosted |= static_cast<int>(row[n] > 0);
-      }
-      if (hosted == 0) continue;
-      for (int n = 0; n < num_nodes; ++n) {
-        if (row[n] > 0) {
-          node_cap[static_cast<std::size_t>(n)] += stage_max;
-          scratch.job_node[static_cast<std::size_t>(j)] = n;
-        }
+      for (const SparsePlacement::Cell& c : p.NodesOf(snap.EntityOfJob(j))) {
+        if (c.count <= 0) continue;
+        node_cap[static_cast<std::size_t>(c.index)] +=
+            stage_max_[static_cast<std::size_t>(j)];
+        scratch.job_node[static_cast<std::size_t>(j)] = c.index;
       }
     }
     for (int n = 0; n < num_nodes; ++n) {
@@ -208,7 +199,7 @@ void LoadDistributor::ReadTopology(const PlacementMatrix& p,
   } else {
     for (int j = 0; j < snap.num_jobs(); ++j) {
       const int entity = snap.EntityOfJob(j);
-      const int node = FirstNodeOf(p, entity);
+      const int node = p.FirstNode(entity);
       if (node == kInvalidNode) continue;
       MWP_DCHECK_MSG(p.InstanceCount(entity) == 1,
                      "a job has a single instance");
@@ -222,11 +213,10 @@ void LoadDistributor::ReadTopology(const PlacementMatrix& p,
     if (p.InstanceCount(entity) == 0) continue;
     // An app without load is inactive: satisfied with zero CPU.
     add_fill(Kind::kTx, entity, snap.tx(w).arrival_rate > 1e-12);
-    const int* row = p.RowData(entity);
-    for (int n = 0; n < num_nodes; ++n) {
+    for (const SparsePlacement::Cell& c : p.NodesOf(entity)) {
       // A transactional instance may use its node's whole available CPU
       // (zero on a node captured offline, scaled when degraded).
-      if (row[n] > 0) add_edge(n, snap.NodeAvailableCpu(n));
+      if (c.count > 0) add_edge(c.index, snap.NodeAvailableCpu(c.index));
     }
   }
 
@@ -431,6 +421,14 @@ void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
     grant[k] = demand_at(local[k], level);
     used += grant[k];
   }
+  if (used > share + 1e-9) {
+    // The bisection bottomed out: even the floor demands exceed the share
+    // (the fill routed less to this node than its jobs need at the floor).
+    // Scale them down so the node is not granted more CPU than it has.
+    const double scale = share / used;
+    for (MHz& g : grant) g *= scale;
+    used = share;
+  }
   MHz leftover = std::max(0.0, share - used);
   for (std::size_t k = 0; k < local.size() && leftover > 1e-9; ++k) {
     const MHz room = local[k].cap - grant[k];
@@ -465,7 +463,10 @@ void LoadDistributor::AssignNodeShare(std::span<const int> local_jobs,
   const std::span<const double> split = scratch.split_memo.values(entry);
   for (std::size_t k = 0; k < local_jobs.size(); ++k) {
     const int entity = snapshot_->EntityOfJob(local_jobs[k]);
-    result.loads.at(entity, node) = split[2 * k];
+    // A job's only instance is its first load entry.
+    result.loads[static_cast<std::size_t>(
+                     scratch.load_begin[static_cast<std::size_t>(entity)])]
+        .load = split[2 * k];
     result.totals[static_cast<std::size_t>(entity)] = split[2 * k];
     result.utilities[static_cast<std::size_t>(entity)] = split[2 * k + 1];
   }
@@ -620,14 +621,41 @@ int LoadDistributor::SolveFill(DistributorScratch& scratch,
   return scratch.fill_memo.Insert(scratch.fill_key, hash, out);
 }
 
+MHz DistributionResult::LoadAt(int entity, int node) const {
+  const auto it = std::lower_bound(
+      loads.begin(), loads.end(), std::pair{entity, node},
+      [](const InstanceLoad& l, const std::pair<int, int>& key) {
+        return std::pair{l.entity, l.node} < key;
+      });
+  if (it == loads.end() || it->entity != entity || it->node != node) {
+    return 0.0;
+  }
+  return it->load;
+}
+
 DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p) const {
   return Distribute(p, scratch_);
 }
 
 DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
                                                DistributorScratch& scratch) const {
+  scratch.placement.Assign(p);
+  MWP_CHECK_MSG(snapshot_->IsFeasible(scratch.placement),
+                "Distribute requires a feasible placement");
+  return DistributeFeasible(scratch.placement, scratch);
+}
+
+DistributionResult LoadDistributor::Distribute(
+    const SparsePlacement& p, std::span<const int> changed_nodes,
+    DistributorScratch& scratch) const {
+  MWP_CHECK_MSG(snapshot_->NodesFeasible(p, changed_nodes),
+                "Distribute requires a feasible placement");
+  return DistributeFeasible(p, scratch);
+}
+
+DistributionResult LoadDistributor::DistributeFeasible(
+    const SparsePlacement& p, DistributorScratch& scratch) const {
   const PlacementSnapshot& snap = *snapshot_;
-  MWP_CHECK_MSG(snap.IsFeasible(p), "Distribute requires a feasible placement");
   ++scratch.stats_.distribute_calls;
   if (scratch.owner != id_) {
     // Scratch last used with a different distributor: its memo tables do
@@ -651,14 +679,22 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
 
   const auto num_entities = static_cast<std::size_t>(snap.num_entities());
   DistributionResult result;
-  result.loads = LoadMatrix(snap.num_entities(), snap.num_nodes());
   result.totals.assign(num_entities, 0.0);
   result.utilities.assign(num_entities, kUtilityFloor);
   result.placed.assign(num_entities, false);
   result.batch_level = std::numeric_limits<double>::quiet_NaN();
 
+  // One zero load per placed cell, in (entity, node) order; the fill's
+  // grants are written into them below.
+  scratch.load_begin.resize(num_entities);
+  result.loads.reserve(static_cast<std::size_t>(p.num_cells()));
   for (int e = 0; e < snap.num_entities(); ++e) {
     result.placed[static_cast<std::size_t>(e)] = p.InstanceCount(e) > 0;
+    scratch.load_begin[static_cast<std::size_t>(e)] =
+        static_cast<int>(result.loads.size());
+    for (const SparsePlacement::Cell& c : p.NodesOf(e)) {
+      if (c.count > 0) result.loads.push_back(InstanceLoad{e, c.index, 0.0});
+    }
   }
 
   for (std::size_t i = 0; i < num_fills; ++i) {
@@ -695,16 +731,24 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
         result.totals[static_cast<std::size_t>(f.entity)] = demand;
         result.utilities[static_cast<std::size_t>(f.entity)] = utility;
         if (demand > 0.0) {
-          result.loads.at(f.entity, scratch.edge_node[edges]) = demand;
+          result.loads[static_cast<std::size_t>(
+                           scratch.load_begin[static_cast<std::size_t>(
+                               f.entity)])]
+              .load = demand;
         }
         break;
       }
       case DistributorScratch::FillKind::kTx: {
         result.totals[static_cast<std::size_t>(f.entity)] = demand;
         result.utilities[static_cast<std::size_t>(f.entity)] = utility;
+        // The app's edges are its placed cells in node order, as are its
+        // load entries.
+        const auto first_load = static_cast<std::size_t>(
+            scratch.load_begin[static_cast<std::size_t>(f.entity)]);
         for (int k = 0; k < f.num_edges; ++k) {
           const std::size_t edge = edges + static_cast<std::size_t>(k);
-          result.loads.at(f.entity, scratch.edge_node[edge]) = routing[edge];
+          result.loads[first_load + static_cast<std::size_t>(k)].load =
+              routing[edge];
         }
         break;
       }

@@ -24,7 +24,14 @@
 // completion RPF) is retained as an ablation.
 //
 // Distribute is called once per candidate placement — hundreds to thousands
-// of times per control cycle — so all per-call state lives in a reusable
+// of times per control cycle. It reads the placement's sparse form
+// (SparsePlacement): the topology takes each placed job's node and each
+// transactional app's instance nodes from their lists, `placed` from the
+// instance counts, and the result keeps one load per placed instance, so
+// nothing per call is sized entities x nodes. A candidate arrives with the
+// nodes on which it may differ from a feasible placement, and the
+// feasibility precondition is checked on those nodes only. All per-call
+// state lives in a reusable
 // DistributorScratch: the flow network is built as compact paired-edge
 // residual arrays (only the source→entity demands change between the ~50
 // feasibility probes of the bisection), and the batch aggregate's demand
@@ -77,9 +84,18 @@
 
 namespace mwp {
 
+/// CPU allocated to one placed instance.
+struct InstanceLoad {
+  int entity = kInvalidApp;
+  int node = kInvalidNode;
+  MHz load = 0.0;
+  bool operator==(const InstanceLoad&) const = default;
+};
+
 struct DistributionResult {
-  /// CPU allocated per (entity, node), MHz.
-  LoadMatrix loads;
+  /// CPU allocated per placed (entity, node) cell, MHz: one entry per cell
+  /// with instances, in (entity, node) order. A job's entry equals its total.
+  std::vector<InstanceLoad> loads;
   /// Per-entity totals ω_e (0 for unplaced entities).
   std::vector<MHz> totals;
   /// Per-entity achieved utility; meaningful only for placed entities
@@ -92,6 +108,9 @@ struct DistributionResult {
   /// The level the batch aggregate reached; NaN when the placement hosts no
   /// batch entity (no placed jobs, or per-job bargaining mode).
   Utility batch_level = std::numeric_limits<double>::quiet_NaN();
+
+  /// The load of `entity` on `node`; 0 when it has no instance there.
+  MHz LoadAt(int entity, int node) const;
 };
 
 /// Reusable buffers for Distribute: the candidate's topology and memo key,
@@ -174,6 +193,10 @@ class DistributorScratch {
   // derived from it for the final assembly.
   std::vector<int> job_node;
   std::vector<std::vector<int>> node_jobs;
+  /// Per entity, the index of its first entry in DistributionResult::loads.
+  std::vector<int> load_begin;
+  /// The sparse form of a placement handed to the matrix overload.
+  SparsePlacement placement;
 
   /// Memo table from variable-length keys (runs of 64-bit words) to runs of
   /// doubles. Keys and values sit back to back in flat pools, so a lookup
@@ -240,13 +263,20 @@ class LoadDistributor {
   explicit LoadDistributor(const PlacementSnapshot* snapshot);
   LoadDistributor(const PlacementSnapshot* snapshot, Options options);
 
-  /// Distribute node CPU under placement `p`. `p` must be feasible. Uses the
-  /// distributor's internal scratch — not safe for concurrent calls.
+  /// Distribute node CPU under placement `p`. `p` must be feasible (checked
+  /// on every node). Uses the distributor's internal scratch — not safe for
+  /// concurrent calls.
   DistributionResult Distribute(const PlacementMatrix& p) const;
 
   /// As above with caller-provided scratch; use one scratch per thread for
   /// concurrent distribution.
   DistributionResult Distribute(const PlacementMatrix& p,
+                                DistributorScratch& scratch) const;
+
+  /// The search's form: `p` may differ from a feasible placement only on
+  /// `changed_nodes`, where feasibility is checked.
+  DistributionResult Distribute(const SparsePlacement& p,
+                                std::span<const int> changed_nodes,
                                 DistributorScratch& scratch) const;
 
   /// The hypothetical RPF (at snapshot time, over all incomplete jobs)
@@ -267,9 +297,12 @@ class LoadDistributor {
   /// Scratch for the one-argument Distribute overload.
   mutable DistributorScratch scratch_;
 
+  /// Distributes under feasible `p`.
+  DistributionResult DistributeFeasible(const SparsePlacement& p,
+                                        DistributorScratch& scratch) const;
   /// Reads the fill entities and their instance edges off `p` into
   /// `scratch` and encodes them as scratch.fill_key. Builds no RPF.
-  void ReadTopology(const PlacementMatrix& p,
+  void ReadTopology(const SparsePlacement& p,
                     DistributorScratch& scratch) const;
   /// Runs the water-fill for the topology in `scratch` and stores its
   /// outcome in the fill memo under `hash`; returns the entry.

@@ -21,6 +21,14 @@
 // incumbent, mirroring the paper's observation that cycles where all jobs
 // fit are much cheaper.
 //
+// No candidate is a copied matrix. Each solve builds the incumbent's sparse
+// form once (checked feasible on every node) and every candidate travels
+// as a PlacementMove: the residents peeled off a node and the wish placed
+// there, one migration, or a bootstrap's additions. A candidate is checked
+// on the nodes its move touches and scored on a per-lane copy of the
+// incumbent that the move patches and then reverts; only a winner is
+// written into the dense result, in place.
+//
 // Candidate search can run on a small internal thread pool
 // (Options::search_threads): candidates are enumerated in the exact order
 // the sequential loops would try them, scored concurrently in chunks, and
@@ -109,15 +117,31 @@ class PlacementOptimizer {
   /// Worker pool; null when lanes_ == 1.
   std::unique_ptr<ThreadPool> pool_;
 
+  /// Per-solve search state: the incumbent in sparse form (equal to
+  /// Result::placement) and one copy per lane, which a lane patches with a
+  /// candidate's move, scores and reverts. All copies equal the incumbent
+  /// between candidates. Defined in the .cc.
+  struct SearchState;
+
   /// Entities that would take more capacity if offered: unplaced jobs and
   /// transactional apps below their saturation, ordered lowest-RP-first.
-  std::vector<int> WishList(const PlacementMatrix& p,
+  std::vector<int> WishList(const SparsePlacement& p,
                             const PlacementEvaluation& eval) const;
 
-  /// Attempt one improving change involving `node`; commits it into
-  /// best/best_eval and returns true, or returns false when no candidate
-  /// beats the incumbent.
-  bool TryImproveNode(int node, Result& result) const;
+  /// Scores the incumbent plus `move` on `lane`, against the incumbent's
+  /// evaluation as reject bound.
+  PlacementEvaluation ScoreMove(const PlacementMove& move, int lane,
+                                const Result& result,
+                                SearchState& state) const;
+  /// True when `eval` beats the incumbent's evaluation.
+  bool Beats(const PlacementEvaluation& eval, const Result& result) const;
+  /// Makes the incumbent plus `move` the new incumbent.
+  void Commit(const PlacementMove& move, PlacementEvaluation eval,
+              Result& result, SearchState& state) const;
+
+  /// Attempt one improving change involving `node`; commits it and returns
+  /// true, or returns false when no candidate beats the incumbent.
+  bool TryImproveNode(int node, Result& result, SearchState& state) const;
 
   /// The search itself; Optimize wraps it to difference the cache and
   /// distributor counters into the Result.

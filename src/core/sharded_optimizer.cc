@@ -175,13 +175,14 @@ ShardedPlacementOptimizer::Result ShardedPlacementOptimizer::Optimize() const {
         if (floor <= worst_utility + tolerance) continue;
         const CellState& state = cells[static_cast<std::size_t>(c)];
         const auto& local_snap = state.slice->snapshot();
+        const SparsePlacement cell_placement(state.result.placement);
         bool fits = false;
         for (int n = 0; n < local_snap.num_nodes(); ++n) {
           const NodeId g =
               state.slice->global_nodes()[static_cast<std::size_t>(n)];
           if (!local_snap.NodeOnline(n)) continue;
           if (!snap.constraints().AllowsNode(jv.id, g)) continue;
-          if (local_snap.FreeMemory(state.result.placement, n) + kEpsilon >=
+          if (local_snap.FreeMemory(cell_placement, n) + kEpsilon >=
               jv.memory) {
             fits = true;
             break;

@@ -134,24 +134,29 @@ Megabytes PlacementSnapshot::EntityMemory(int entity) const {
   return entity_memory_.at(static_cast<std::size_t>(entity));
 }
 
-Megabytes PlacementSnapshot::FreeMemory(const PlacementMatrix& p,
+Megabytes PlacementSnapshot::FreeMemory(const SparsePlacement& p,
                                         int node) const {
   MWP_CHECK(node >= 0 && node < num_nodes() && p.num_nodes() == num_nodes());
   Megabytes used = 0.0;
-  if (p.num_apps() > 0) {
-    const int* cells = p.RowData(0);  // column walk over the dense storage
-    const auto stride = static_cast<std::size_t>(p.num_nodes());
-    for (int e = 0; e < p.num_apps(); ++e) {
-      const int count =
-          cells[static_cast<std::size_t>(e) * stride + static_cast<std::size_t>(node)];
-      // Skipping zero-count terms adds exactly nothing (x + 0.0 keeps x's
-      // bits for the non-negative sums formed here).
-      if (count != 0) {
-        used += count * entity_memory_[static_cast<std::size_t>(e)];
-      }
-    }
+  for (const SparsePlacement::Cell& c : p.Residents(node)) {
+    used += c.count * entity_memory_[static_cast<std::size_t>(c.index)];
   }
   return node_available_memory_[static_cast<std::size_t>(node)] - used;
+}
+
+void PlacementSnapshot::set_constraints(PlacementConstraints constraints) {
+  constraints_ = std::move(constraints);
+  separated_entities_.clear();
+  for (const auto& [a, b] : constraints_.separations()) {
+    // The last entity carrying each id, as a scan in entity order finds.
+    int ea = -1, eb = -1;
+    for (int e = 0; e < num_entities(); ++e) {
+      if (EntityAppId(e) == a) ea = e;
+      if (EntityAppId(e) == b) eb = e;
+    }
+    if (ea < 0 || eb < 0) continue;  // one side not in this snapshot
+    separated_entities_.emplace_back(ea, eb);
+  }
 }
 
 Seconds JobExecStart(const PlacementSnapshot& snap, const JobView& jv,
@@ -170,60 +175,60 @@ AppId PlacementSnapshot::EntityAppId(int entity) const {
 bool PlacementSnapshot::IsFeasible(const PlacementMatrix& p) const {
   MWP_CHECK(p.num_apps() == num_entities());
   MWP_CHECK(p.num_nodes() == num_nodes());
-  // One row-major pass over the matrix. Each node's memory use adds the
-  // entities in ascending order, skipping zero counts, exactly as
+  return IsFeasible(SparsePlacement(p));
+}
+
+bool PlacementSnapshot::IsFeasible(const SparsePlacement& p) const {
+  MWP_CHECK(p.num_entities() == num_entities());
+  MWP_CHECK(p.num_nodes() == num_nodes());
+  for (int n = 0; n < num_nodes(); ++n) {
+    if (!NodeFeasible(p, n)) return false;
+  }
+  return true;
+}
+
+bool PlacementSnapshot::NodesFeasible(const SparsePlacement& p,
+                                      std::span<const int> nodes) const {
+  MWP_CHECK(p.num_entities() == num_entities());
+  MWP_CHECK(p.num_nodes() == num_nodes());
+  for (const int n : nodes) {
+    MWP_CHECK(n >= 0 && n < num_nodes());
+    if (!NodeFeasible(p, n)) return false;
+  }
+  return true;
+}
+
+bool PlacementSnapshot::NodeFeasible(const SparsePlacement& p,
+                                     int node) const {
+  const auto n = static_cast<std::size_t>(node);
+  // Memory use adds the residents in ascending entity order, exactly as
   // FreeMemory sums it, so the capacity test sees the same doubles.
-  const auto nodes = static_cast<std::size_t>(num_nodes());
-  std::vector<Megabytes> used(nodes, 0.0);
-  for (int e = 0; e < num_entities(); ++e) {
-    const int* row = p.RowData(e);
-    // An all-zero row (a queued job, an idle app) breaks no rule; this
-    // branch-free test skips it.
-    int any = 0;
-    for (std::size_t n = 0; n < nodes; ++n) any |= row[n];
-    if (any == 0) continue;
-    const Megabytes memory = entity_memory_[static_cast<std::size_t>(e)];
-    const bool job = IsJobEntity(e);
-    int instances = 0;
-    for (std::size_t n = 0; n < nodes; ++n) {
-      const int count = row[n];
-      if (count == 0) continue;
-      // Nothing may be placed on a crashed node.
-      if (count > 0 && !node_online_[n]) return false;
-      if (!job && count > 1) return false;  // at most one tx instance per node
-      used[n] += count * memory;
-      instances += count;
-    }
-    if (job) {
+  Megabytes used = 0.0;
+  for (const SparsePlacement::Cell& c : p.Residents(node)) {
+    const int e = c.index;
+    // Nothing may be placed on a crashed node.
+    if (c.count > 0 && !node_online_[n]) return false;
+    const int instances = p.InstanceCount(e);
+    if (IsJobEntity(e)) {
       if (instances > 1) return false;
     } else {
+      if (c.count > 1) return false;  // at most one tx instance per node
       const int cap = tx(TxOfEntity(e)).max_instances;
       if (cap > 0 && instances > cap) return false;
     }
+    used += c.count * entity_memory_[static_cast<std::size_t>(e)];
   }
-  for (std::size_t n = 0; n < nodes; ++n) {
-    if (node_online_[n] && node_available_memory_[n] - used[n] < -kEpsilon) {
-      return false;
-    }
+  if (node_online_[n] && node_available_memory_[n] - used < -kEpsilon) {
+    return false;
   }
   if (!constraints_.empty()) {
-    for (int e = 0; e < num_entities(); ++e) {
-      for (int n = 0; n < num_nodes(); ++n) {
-        if (p.at(e, n) > 0 && !constraints_.AllowsNode(EntityAppId(e), n)) {
-          return false;
-        }
+    for (const SparsePlacement::Cell& c : p.Residents(node)) {
+      if (c.count > 0 && !constraints_.AllowsNode(EntityAppId(c.index), node)) {
+        return false;
       }
     }
-    for (const auto& [a, b] : constraints_.separations()) {
-      int ea = -1, eb = -1;
-      for (int e = 0; e < num_entities(); ++e) {
-        if (EntityAppId(e) == a) ea = e;
-        if (EntityAppId(e) == b) eb = e;
-      }
-      if (ea < 0 || eb < 0) continue;  // one side not in this snapshot
-      for (int n = 0; n < num_nodes(); ++n) {
-        if (p.at(ea, n) > 0 && p.at(eb, n) > 0) return false;
-      }
+    for (const auto& [ea, eb] : separated_entities_) {
+      if (p.Count(ea, node) > 0 && p.Count(eb, node) > 0) return false;
     }
   }
   return true;

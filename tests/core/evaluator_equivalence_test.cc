@@ -225,6 +225,41 @@ TEST(EvaluatorEquivalenceTest, IncrementalMatchesReferenceOnRandomSnapshots) {
   }
 }
 
+TEST(EvaluatorEquivalenceTest, ColumnMemoKeysOnStartDelay) {
+  // A running job whose migration outlasts the cycle ends the cycle with
+  // the work it has now both when it is suspended and when it is migrated;
+  // only the start delay its hypothetical column sees differs (none when
+  // it is placed again later, the unfinished migration when it moves). One
+  // scratch scores both, so the second candidate finds the first one's
+  // column in the scratch's per-job memo and must not take it.
+  SnapshotBuilder b(ClusterSpec::Uniform(2, NodeSpec{1, 1'000.0, 2'000.0}));
+  b.now = 5.0;
+  b.cycle = 1.0;
+  JobView& moving = b.AddJob(1, 4'000.0, 800.0, 500.0, 0.0, 3.0,
+                             JobStatus::kRunning, 0, 1'000.0);
+  moving.migrate_overhead = 3.0;
+  b.AddJob(2, 6'000.0, 600.0, 500.0, 0.0, 2.5, JobStatus::kRunning, 1,
+           2'000.0);
+  const PlacementSnapshot snap = b.Build();
+
+  PlacementMatrix suspended = snap.current_placement();
+  suspended.at(0, 0) = 0;
+  PlacementMatrix migrated = suspended;
+  migrated.at(0, 1) = 1;
+  const PlacementEvaluation want_suspended = ReferenceEvaluate(snap, suspended);
+  const PlacementEvaluation want_migrated = ReferenceEvaluate(snap, migrated);
+  // The case means something only if the two delays score differently.
+  ASSERT_NE(want_suspended.entity_utilities[0],
+            want_migrated.entity_utilities[0]);
+
+  const PlacementEvaluator evaluator(&snap);
+  EvalScratch scratch;
+  ExpectMatchesReference(evaluator.Evaluate(suspended, scratch, nullptr),
+                         want_suspended, PlacementEvaluation{}, 0.0, 1);
+  ExpectMatchesReference(evaluator.Evaluate(migrated, scratch, nullptr),
+                         want_migrated, PlacementEvaluation{}, 0.0, 2);
+}
+
 TEST(EvaluatorEquivalenceTest, ParallelSearchMatchesReference) {
   // Force multiple lanes regardless of the host's core count: the chunked
   // search must pick the same winners in the same order.

@@ -7,12 +7,15 @@
 
 #include "common/rng.h"
 #include "exp/experiment1.h"
+#include "tests/core/reference_evaluator.h"
 #include "tests/core/test_fixtures.h"
 
 namespace mwp {
 namespace {
 
 using testing_fixtures::SnapshotBuilder;
+using testing_oracle::DenseLoads;
+using testing_oracle::LoadMatrix;
 using testing_fixtures::TinyCluster;
 
 TransactionalAppSpec TxSpec(AppId id, MHz saturation = 900.0,
@@ -92,8 +95,8 @@ TEST(LoadDistributorTest, JobsOnSeparateNodesIndependent) {
   const auto result = LoadDistributor(&snap).Distribute(snap.current_placement());
   EXPECT_NEAR(result.totals[0], 1'000.0, 1.0);
   EXPECT_NEAR(result.totals[1], 1'000.0, 1.0);
-  EXPECT_DOUBLE_EQ(result.loads.at(0, 0), result.totals[0]);
-  EXPECT_DOUBLE_EQ(result.loads.at(1, 1), result.totals[1]);
+  EXPECT_DOUBLE_EQ(result.LoadAt(0, 0), result.totals[0]);
+  EXPECT_DOUBLE_EQ(result.LoadAt(1, 1), result.totals[1]);
 }
 
 TEST(LoadDistributorTest, UnplacedJobGetsNothing) {
@@ -130,10 +133,10 @@ TEST(LoadDistributorTest, TxSpansMultipleNodes) {
   EXPECT_NEAR(result.totals[0], 2'500.0, 5.0);
   // Routed across the three instances within node capacity.
   for (int n = 0; n < 3; ++n) {
-    EXPECT_LE(result.loads.at(0, n), 1'000.0 + 1e-6);
+    EXPECT_LE(result.LoadAt(0, n), 1'000.0 + 1e-6);
   }
-  EXPECT_NEAR(result.loads.at(0, 0) + result.loads.at(0, 1) +
-                  result.loads.at(0, 2),
+  EXPECT_NEAR(result.LoadAt(0, 0) + result.LoadAt(0, 1) +
+                  result.LoadAt(0, 2),
               2'500.0, 5.0);
 }
 
@@ -168,8 +171,9 @@ TEST(LoadDistributorTest, NodeCapacityNeverExceeded) {
   b.AddTx(TxSpec(10, 1'800.0), 900.0, {0, 1});
   const PlacementSnapshot snap = b.Build();
   const auto result = LoadDistributor(&snap).Distribute(snap.current_placement());
+  const LoadMatrix loads = DenseLoads(result, snap.num_nodes());
   for (int n = 0; n < 2; ++n) {
-    EXPECT_LE(result.loads.NodeLoad(n), 1'000.0 + 1e-5) << "node " << n;
+    EXPECT_LE(loads.NodeLoad(n), 1'000.0 + 1e-5) << "node " << n;
   }
 }
 
@@ -388,10 +392,10 @@ TEST(LoadDistributorTest, FinalRoutingIsTheColdMaxFlow) {
   const PlacementSnapshot snap = b.Build();
   const auto result =
       LoadDistributor(&snap).Distribute(snap.current_placement());
-  EXPECT_DOUBLE_EQ(result.loads.at(1, 0), 1'000.0);
-  EXPECT_NEAR(result.loads.at(1, 1), 69.828282029159482, 1e-9);
-  EXPECT_DOUBLE_EQ(result.loads.at(2, 0), 0.0);
-  EXPECT_NEAR(result.loads.at(2, 1), 930.17171797084052, 1e-9);
+  EXPECT_DOUBLE_EQ(result.LoadAt(1, 0), 1'000.0);
+  EXPECT_NEAR(result.LoadAt(1, 1), 69.828282029159482, 1e-9);
+  EXPECT_DOUBLE_EQ(result.LoadAt(2, 0), 0.0);
+  EXPECT_NEAR(result.LoadAt(2, 1), 930.17171797084052, 1e-9);
 }
 
 class LoadDistributorPropertyTest
@@ -412,17 +416,18 @@ TEST_P(LoadDistributorPropertyTest, InvariantsHoldUnderRandomWorkloads) {
   b.now = rng.Uniform(0.0, 10.0);
   const PlacementSnapshot snap = b.Build();
   const auto result = LoadDistributor(&snap).Distribute(snap.current_placement());
+  const LoadMatrix loads = DenseLoads(result, snap.num_nodes());
 
   // Invariant 1: node capacities respected.
   for (int n = 0; n < num_nodes; ++n) {
-    EXPECT_LE(result.loads.NodeLoad(n), 1'000.0 + 1e-5);
+    EXPECT_LE(loads.NodeLoad(n), 1'000.0 + 1e-5);
   }
   // Invariant 2: no job exceeds its max speed.
   for (int j = 0; j < num_jobs; ++j) {
     EXPECT_LE(result.totals[static_cast<std::size_t>(j)],
               snap.job(j).max_speed + 1e-5);
     // Invariant 3: totals match the routed loads.
-    EXPECT_NEAR(result.loads.AppAllocation(j),
+    EXPECT_NEAR(loads.AppAllocation(j),
                 result.totals[static_cast<std::size_t>(j)], 1e-5);
   }
 }

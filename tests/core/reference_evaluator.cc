@@ -4,15 +4,128 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "core/hypothetical_rpf.h"
-#include "core/load_distributor.h"
 
 namespace mwp::testing_oracle {
+
+LoadMatrix DenseLoads(const DistributionResult& result, int num_nodes) {
+  LoadMatrix loads(static_cast<int>(result.totals.size()), num_nodes);
+  for (const InstanceLoad& l : result.loads) loads.at(l.entity, l.node) = l.load;
+  return loads;
+}
+
+int FirstNodeOf(const PlacementMatrix& p, int app) {
+  for (int n = 0; n < p.num_nodes(); ++n) {
+    if (p.at(app, n) > 0) return n;
+  }
+  return kInvalidNode;
+}
+
+bool ReferenceIsFeasible(const PlacementSnapshot& snap,
+                         const PlacementMatrix& p) {
+  MWP_CHECK(p.num_apps() == snap.num_entities());
+  MWP_CHECK(p.num_nodes() == snap.num_nodes());
+  // Each node's memory use adds the entities in ascending order, skipping
+  // zero counts.
+  std::vector<Megabytes> used(static_cast<std::size_t>(snap.num_nodes()), 0.0);
+  for (int e = 0; e < snap.num_entities(); ++e) {
+    const bool job = snap.IsJobEntity(e);
+    int instances = 0;
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      const int count = p.at(e, n);
+      if (count == 0) continue;
+      if (count > 0 && !snap.NodeOnline(n)) return false;
+      if (!job && count > 1) return false;
+      used[static_cast<std::size_t>(n)] += count * snap.EntityMemory(e);
+      instances += count;
+    }
+    if (job) {
+      if (instances > 1) return false;
+    } else {
+      const int cap = snap.tx(snap.TxOfEntity(e)).max_instances;
+      if (cap > 0 && instances > cap) return false;
+    }
+  }
+  for (int n = 0; n < snap.num_nodes(); ++n) {
+    if (snap.NodeOnline(n) &&
+        snap.NodeAvailableMemory(n) - used[static_cast<std::size_t>(n)] <
+            -kEpsilon) {
+      return false;
+    }
+  }
+  const PlacementConstraints& constraints = snap.constraints();
+  for (int e = 0; e < snap.num_entities(); ++e) {
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      if (p.at(e, n) > 0 && !constraints.AllowsNode(snap.EntityAppId(e), n)) {
+        return false;
+      }
+    }
+  }
+  for (const auto& [a, b] : constraints.separations()) {
+    int ea = -1, eb = -1;
+    for (int e = 0; e < snap.num_entities(); ++e) {
+      if (snap.EntityAppId(e) == a) ea = e;
+      if (snap.EntityAppId(e) == b) eb = e;
+    }
+    if (ea < 0 || eb < 0) continue;
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      if (p.at(ea, n) > 0 && p.at(eb, n) > 0) return false;
+    }
+  }
+  return true;
+}
+
+std::vector<PlacementChange> ReferenceDiffPlacements(
+    const PlacementMatrix& from, const PlacementMatrix& to,
+    const std::vector<bool>& removal_is_suspend,
+    const std::vector<bool>& addition_is_resume) {
+  std::vector<PlacementChange> changes;
+  for (int m = 0; m < from.num_apps(); ++m) {
+    std::vector<int> removed_nodes;
+    std::vector<int> added_nodes;
+    for (int n = 0; n < from.num_nodes(); ++n) {
+      int delta = to.at(m, n) - from.at(m, n);
+      for (; delta < 0; ++delta) removed_nodes.push_back(n);
+      for (; delta > 0; --delta) added_nodes.push_back(n);
+    }
+    const std::size_t pairs = std::min(removed_nodes.size(), added_nodes.size());
+    for (std::size_t i = 0; i < pairs; ++i) {
+      changes.push_back(PlacementChange{PlacementChange::Kind::kMigrate, m,
+                                        removed_nodes[i], added_nodes[i]});
+    }
+    for (std::size_t i = pairs; i < removed_nodes.size(); ++i) {
+      changes.push_back(PlacementChange{
+          removal_is_suspend[static_cast<std::size_t>(m)]
+              ? PlacementChange::Kind::kSuspend
+              : PlacementChange::Kind::kStop,
+          m, removed_nodes[i], kInvalidNode});
+    }
+    for (std::size_t i = pairs; i < added_nodes.size(); ++i) {
+      changes.push_back(PlacementChange{
+          addition_is_resume[static_cast<std::size_t>(m)]
+              ? PlacementChange::Kind::kResume
+              : PlacementChange::Kind::kStart,
+          m, kInvalidNode, added_nodes[i]});
+    }
+  }
+  return changes;
+}
+
+DistributionResult ReferenceDistribute(const PlacementSnapshot& snap,
+                                       const PlacementMatrix& p) {
+  MWP_CHECK(ReferenceIsFeasible(snap, p));
+  DistributionResult result = LoadDistributor(&snap).Distribute(p);
+  for (int e = 0; e < snap.num_entities(); ++e) {
+    result.placed[static_cast<std::size_t>(e)] = p.InstanceCount(e) > 0;
+  }
+  return result;
+}
 
 PlacementEvaluation ReferenceEvaluate(const PlacementSnapshot& snap,
                                       const PlacementMatrix& p) {
   PlacementEvaluation eval;
-  eval.distribution = LoadDistributor(&snap).Distribute(p);
+  eval.distribution = ReferenceDistribute(snap, p);
   eval.entity_utilities.assign(static_cast<std::size_t>(snap.num_entities()),
                                kUtilityFloor);
   eval.job_future_speeds.assign(static_cast<std::size_t>(snap.num_jobs()), 0.0);
@@ -93,8 +206,9 @@ PlacementEvaluation ReferenceEvaluate(const PlacementSnapshot& snap,
     removal_is_suspend[entity] = true;
     addition_is_resume[entity] = snap.job(j).status == JobStatus::kSuspended;
   }
-  eval.changes = DiffPlacements(snap.current_placement(), p,
-                                removal_is_suspend, addition_is_resume);
+  eval.changes = ReferenceDiffPlacements(snap.current_placement(), p,
+                                         removal_is_suspend,
+                                         addition_is_resume);
 
   eval.sorted_utilities = eval.entity_utilities;
   std::sort(eval.sorted_utilities.begin(), eval.sorted_utilities.end());

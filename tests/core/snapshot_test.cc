@@ -75,11 +75,11 @@ TEST(SnapshotTest, FreeMemoryAccounting) {
   const PlacementSnapshot snap = b.Build();
 
   PlacementMatrix p(2, 1);
-  EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 0), 2'000.0);
+  EXPECT_DOUBLE_EQ(snap.FreeMemory(SparsePlacement(p), 0), 2'000.0);
   p.at(0, 0) = 1;
-  EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 0), 1'250.0);
+  EXPECT_DOUBLE_EQ(snap.FreeMemory(SparsePlacement(p), 0), 1'250.0);
   p.at(1, 0) = 1;
-  EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 0), 500.0);
+  EXPECT_DOUBLE_EQ(snap.FreeMemory(SparsePlacement(p), 0), 500.0);
 }
 
 TEST(SnapshotTest, FeasibilityMemoryLimit) {
@@ -228,12 +228,12 @@ TEST(SnapshotTest, FreeMemoryZeroOnOfflineNode) {
   b.AddJob(1, 4'000.0, 1'000.0, 750.0, 0.0, 5.0);
   const PlacementSnapshot snap = b.Build();
   const PlacementMatrix p(1, 2);
-  EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 0), 0.0);
-  EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 1), 2'000.0);
+  EXPECT_DOUBLE_EQ(snap.FreeMemory(SparsePlacement(p), 0), 0.0);
+  EXPECT_DOUBLE_EQ(snap.FreeMemory(SparsePlacement(p), 1), 2'000.0);
 }
 
-/// IsFeasible's rules checked one node and one entity at a time, through
-/// FreeMemory — the reference for the single-pass implementation.
+/// IsFeasible's rules checked rule by rule over the matrix, memory through
+/// FreeMemory — a reference for the node-by-node implementation.
 bool FeasibleByReference(const PlacementSnapshot& snap,
                          const PlacementMatrix& p) {
   for (int n = 0; n < snap.num_nodes(); ++n) {
@@ -243,7 +243,7 @@ bool FeasibleByReference(const PlacementSnapshot& snap,
       }
       continue;
     }
-    if (snap.FreeMemory(p, n) < -kEpsilon) return false;
+    if (snap.FreeMemory(SparsePlacement(p), n) < -kEpsilon) return false;
   }
   for (int j = 0; j < snap.num_jobs(); ++j) {
     if (p.InstanceCount(snap.EntityOfJob(j)) > 1) return false;
