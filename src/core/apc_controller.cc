@@ -94,19 +94,11 @@ void ApcController::AdvanceJobsTo(Seconds to) {
 }
 
 void ApcController::RunCycle(Simulation& sim) {
-  const Seconds now = sim.now();
-  CycleCapture capture = CaptureCycle(now);
-  CycleSolution solution = SolveCycle(capture.snapshot);
-  CommitCycle(capture, std::move(solution), now, &sim);
+  const CycleCapture capture = CaptureCycle(sim.now());
+  CommitCycle(capture, SolveCycle(capture.snapshot), sim);
 }
 
-void ApcController::RunCycleAt(Seconds now) {
-  CycleCapture capture = CaptureCycle(now);
-  CycleSolution solution = SolveCycle(capture.snapshot);
-  CommitCycle(capture, std::move(solution), now, nullptr);
-}
-
-CycleCapture ApcController::CaptureCycle(Seconds now) {
+ApcController::CycleCapture ApcController::CaptureCycle(Seconds now) {
   AdvanceJobsTo(now);
 
   // Defence in depth against node faults nobody repaired mid-cycle: jobs
@@ -149,7 +141,7 @@ CycleCapture ApcController::CaptureCycle(Seconds now) {
   return CycleCapture{now, std::move(snapshot), std::move(tx_inputs)};
 }
 
-CycleSolution ApcController::SolveCycle(
+ApcController::CycleSolution ApcController::SolveCycle(
     const PlacementSnapshot& snapshot) const {
   CycleSolution solution;
   const obs::Stopwatch stopwatch;
@@ -172,39 +164,21 @@ CycleSolution ApcController::SolveCycle(
 }
 
 void ApcController::CommitCycle(const CycleCapture& capture,
-                                CycleSolution solution, Seconds commit_now,
-                                Simulation* sim) {
-  MWP_CHECK(commit_now >= capture.now);
+                                CycleSolution solution, Simulation& sim) {
   const PlacementSnapshot& snapshot = capture.snapshot;
   const PlacementOptimizer::Result& result = solution.result;
   MWP_DCHECK_MSG(CommitInvariantViolation(snapshot, result).empty(),
                  "committed solver result: "
                      << CommitInvariantViolation(snapshot, result));
-  // When the solve ran asynchronously, jobs kept executing under their old
-  // allocations; settle that execution before the new decision takes
-  // effect. Synchronous commits advance to the instant they are already at
-  // (a no-op).
-  AdvanceJobsTo(commit_now);
+  // The commit runs at the capture instant with no job advanced in
+  // between, so the live incomplete jobs are exactly the captured ones, in
+  // capture order: decisions apply as job j <-> entity j.
+  const std::vector<Job*> jobs = queue_->Incomplete();
+  MWP_DCHECK(static_cast<int>(jobs.size()) == snapshot.num_jobs());
 
-  // Resolve the captured jobs against the live queue by id. A capture that
-  // went stale mid-solve may reference jobs that completed; those entries
-  // resolve to null and their decisions are dropped. In the synchronous
-  // path the resolved set is exactly queue_->Incomplete() at capture time,
-  // in capture order, so decisions apply as job j <-> entity j.
-  std::vector<Job*> jobs;
-  jobs.reserve(static_cast<std::size_t>(snapshot.num_jobs()));
-  for (int j = 0; j < snapshot.num_jobs(); ++j) {
-    Job* job = queue_->Find(snapshot.job(j).id);
-    if (job != nullptr && job->status() == JobStatus::kCompleted) {
-      job = nullptr;
-    }
-    jobs.push_back(job);
-  }
-
-  const Seconds now = commit_now;
+  const Seconds now = capture.now;
   for (int j = 0; j < snapshot.num_jobs(); ++j) {
     Job* job = jobs[static_cast<std::size_t>(j)];
-    if (job == nullptr) continue;
     const int entity = snapshot.EntityOfJob(j);
     const std::vector<int> nodes = result.placement.NodesOf(entity);
     const NodeId target = nodes.empty() ? kInvalidNode : nodes.front();
@@ -263,10 +237,9 @@ void ApcController::CommitCycle(const CycleCapture& capture,
     tx_apps_[w].instances = std::move(instances);
   }
 
-  // Bookkeeping. Stats are anchored at the capture instant so a cycle's
-  // stats.time always matches its snapshot (and replay input) time.
+  // Bookkeeping.
   CycleStats stats;
-  stats.time = capture.now;
+  stats.time = now;
   stats.num_jobs = snapshot.num_jobs();
   double rp_sum = 0.0;
   double rp_min = std::numeric_limits<double>::infinity();
@@ -282,8 +255,7 @@ void ApcController::CommitCycle(const CycleCapture& capture,
   stats.min_job_rp = snapshot.num_jobs() > 0
                          ? rp_min
                          : std::numeric_limits<double>::quiet_NaN();
-  for (Job* job : jobs) {
-    if (job == nullptr) continue;
+  for (const Job* job : jobs) {
     switch (job->status()) {
       case JobStatus::kRunning:
         ++stats.running_jobs;
@@ -424,7 +396,7 @@ void ApcController::CommitCycle(const CycleCapture& capture,
     if (snapshot.IsJobEntity(l.entity)) continue;
     tx_node_loads_[static_cast<std::size_t>(l.node)] += l.load;
   }
-  if (sim != nullptr) ArmCompletionWatch(*sim);
+  ArmCompletionWatch(sim);
 }
 
 void ApcController::UpdateKarmaCredits(
@@ -737,12 +709,7 @@ int ApcController::CrashJobsOnOfflineNodes(Seconds now) {
 }
 
 int ApcController::QuickDispatch(Simulation& sim, int max_placements) {
-  const int placed = QuickDispatchAt(sim.now(), max_placements);
-  if (placed > 0) ArmCompletionWatch(sim);
-  return placed;
-}
-
-int ApcController::QuickDispatchAt(Seconds now, int max_placements) {
+  const Seconds now = sim.now();
   AdvanceJobsTo(now);
 
   std::vector<Job*> waiting = queue_->AwaitingPlacement();
@@ -846,15 +813,17 @@ int ApcController::QuickDispatchAt(Seconds now, int max_placements) {
     }
     ++placed_count;
   }
+  if (placed_count > 0) ArmCompletionWatch(sim);
   return placed_count;
 }
 
-void ApcController::OnNodeFault(Simulation& sim) { RepairNow(sim.now(), &sim); }
-
-void ApcController::OnNodeFaultAt(Seconds now) { RepairNow(now, nullptr); }
-
-void ApcController::RepairNow(Seconds now, Simulation* sim) {
+void ApcController::OnNodeFault(Simulation& sim) {
+  const Seconds now = sim.now();
   AdvanceJobsTo(now);
+  // pending_failed_ops_ also holds earlier quick dispatches' and repairs'
+  // vetoes (it is folded into the next cycle's stats); this repair reports
+  // only its own.
+  const int failed_ops_before = pending_failed_ops_;
 
   RepairStats repair;
   repair.time = now;
@@ -937,15 +906,14 @@ void ApcController::RepairNow(Seconds now, Simulation* sim) {
 
   // Refill whatever capacity the fault freed (and the budget still allows)
   // with queued work — including the jobs this fault just re-queued.
-  repair.job_placements = sim != nullptr ? QuickDispatch(*sim, budget)
-                                         : QuickDispatchAt(now, budget);
-  repair.failed_operations = pending_failed_ops_;
+  repair.job_placements = QuickDispatch(sim, budget);
+  repair.failed_operations = pending_failed_ops_ - failed_ops_before;
 
   MWP_LOG_DEBUG << "repair t=" << now << " requeued=" << repair.jobs_requeued
                 << " tx=" << repair.tx_replaced << "/" << repair.tx_displaced
                 << " jobs=" << repair.job_placements;
   repairs_.push_back(repair);
-  if (sim != nullptr) ArmCompletionWatch(*sim);
+  ArmCompletionWatch(sim);
 }
 
 void ApcController::ArmCompletionWatch(Simulation& sim) {

@@ -8,14 +8,16 @@
 // Per-cycle statistics feed the experiment harness (Figures 2, 6, 7).
 //
 // Threading contract: the controller is confined to its simulation's
-// thread. RunCycle, OnJobSubmitted and OnNodeFault all execute inside
-// simulation events — an OnNodeFault repair "racing" a control cycle is
-// serialized by the event queue, never truly concurrent. The only
-// intra-controller concurrency is inside PlacementOptimizer's candidate
-// search, whose sharing rules live with that class; cross-controller
-// concurrency (several simulations in worker threads) is safe because
-// controllers share no mutable state except the internally synchronized
-// logger. The TSan lane's stress tests pin both properties down.
+// thread. Every entry point — RunCycle, OnJobSubmitted, OnNodeFault —
+// takes the Simulation and executes inside a simulation event (directly,
+// or through the src/svc service's Pump), so an OnNodeFault repair
+// "racing" a control cycle is serialized by the event queue, never truly
+// concurrent. The only intra-controller concurrency is inside
+// PlacementOptimizer's candidate search, whose sharing rules live with
+// that class; cross-controller concurrency (several simulations in worker
+// threads) is safe because controllers share no mutable state except the
+// internally synchronized logger. The TSan lane's stress tests pin both
+// properties down.
 #pragma once
 
 #include <functional>
@@ -96,27 +98,6 @@ struct CycleStats {
   std::vector<double> tx_rejected_rates;
   /// Populated only when Config::record_job_details is true.
   std::vector<JobCycleDetail> job_details;
-};
-
-/// Product of the capture phase of one control cycle: the frozen optimizer
-/// input plus the per-app arrival rates the commit bookkeeping needs. A
-/// capture is self-describing for the solver — SolveCycle reads only the
-/// snapshot — so it can be staged in a core::DoubleBuffer and solved on a
-/// different thread while the producing controller keeps ingesting events
-/// (the src/svc service's async-solve path).
-struct CycleCapture {
-  Seconds now = 0.0;
-  PlacementSnapshot snapshot;
-  std::vector<PlacementSnapshot::TxInput> tx_inputs;
-};
-
-/// Product of the solve phase of one control cycle.
-struct CycleSolution {
-  PlacementOptimizer::Result result;
-  int num_cells = 0;
-  int cross_cell_migrations = 0;
-  std::vector<Seconds> cell_solver_seconds;
-  Seconds solver_seconds = 0.0;  ///< wall-clock time of the optimizer
 };
 
 /// Outcome of one out-of-band repair cycle (OnNodeFault).
@@ -201,40 +182,6 @@ class ApcController {
   /// Execute one control cycle at the simulation's current time.
   void RunCycle(Simulation& sim);
 
-  /// Execute one control cycle at `now` without a simulation: no completion
-  /// watch is armed, so the caller is responsible for feeding completions
-  /// back (the event-driven service does this through its inbox). Decisions
-  /// are identical to RunCycle at the same instant and state.
-  void RunCycleAt(Seconds now);
-
-  // --- phase API -----------------------------------------------------------
-  //
-  // RunCycle = CaptureCycle + SolveCycle + CommitCycle, exposed separately so
-  // the event-driven controller service (src/svc) can stage the capture in a
-  // double buffer and run the solve off-thread while state ingestion
-  // continues. Running the three phases back-to-back at one instant is
-  // bit-identical to RunCycle.
-
-  /// Phase 1 — freeze the system: advance jobs to `now`, reconcile offline
-  /// nodes, and snapshot cluster/jobs/transactional demand.
-  CycleCapture CaptureCycle(Seconds now);
-
-  /// Phase 2 — run the placement optimizer (monolithic or sharded, per
-  /// Config) on a captured snapshot. Const and self-contained: reads only
-  /// the snapshot and the controller's immutable configuration, so it may
-  /// run on another thread while the controller ingests state, as long as
-  /// at most one solve is in flight per controller.
-  CycleSolution SolveCycle(const PlacementSnapshot& snapshot) const;
-
-  /// Phase 3 — put the decision into effect at `commit_now` (>= capture
-  /// time; later when the solve ran asynchronously) and record stats,
-  /// traces and metrics. Jobs are matched by id, so a capture that went
-  /// stale (jobs arrived or completed mid-solve) commits what still
-  /// applies; newly arrived jobs wait for the next decision. `sim` may be
-  /// null (service mode); when set, the completion watch is re-armed.
-  void CommitCycle(const CycleCapture& capture, CycleSolution solution,
-                   Seconds commit_now, Simulation* sim);
-
   /// Notify the controller of a job submission. The paper's job scheduler
   /// acts between control cycles with the APC as advisor (§3.1): a light
   /// event-driven dispatch starts queued jobs on capacity that is free
@@ -254,16 +201,10 @@ class ApcController {
   /// Fault-injection experiments call this from a FaultListener.
   void OnNodeFault(Simulation& sim);
 
-  /// Simulation-free variants of the event-driven entry points, for the
-  /// src/svc service's threaded mode: same decisions as the Simulation&
-  /// overloads at the same instant, but no completion watch is armed.
-  void OnNodeFaultAt(Seconds now);
-  int QuickDispatchAt(Seconds now, int max_placements = kUnbounded);
-
   /// Tags the next committed cycle's trace record ("event", "repair", ...).
   /// Empty (the default) marks a periodic cycle and keeps exports
   /// byte-identical to pre-service traces; the tag is consumed by the next
-  /// CommitCycle.
+  /// RunCycle.
   void set_next_cycle_trigger(std::string trigger) {
     next_cycle_trigger_ = std::move(trigger);
   }
@@ -272,7 +213,7 @@ class ApcController {
   const std::vector<RepairStats>& repairs() const { return repairs_; }
   /// Karma credit ledger (empty unless Config's optimizer objective is
   /// kKarma): per-application credits carried across control cycles.
-  /// Updated once per CommitCycle; keyed map so iteration is deterministic.
+  /// Updated once per cycle; keyed map so iteration is deterministic.
   const std::map<AppId, double>& karma_credits() const {
     return karma_credits_;
   }
@@ -287,6 +228,23 @@ class ApcController {
   }
 
  private:
+  /// Product of a cycle's capture phase: the frozen optimizer input plus
+  /// the per-app arrival rates the commit bookkeeping needs.
+  struct CycleCapture {
+    Seconds now = 0.0;
+    PlacementSnapshot snapshot;
+    std::vector<PlacementSnapshot::TxInput> tx_inputs;
+  };
+
+  /// Product of a cycle's solve phase.
+  struct CycleSolution {
+    PlacementOptimizer::Result result;
+    int num_cells = 0;
+    int cross_cell_migrations = 0;
+    std::vector<Seconds> cell_solver_seconds;
+    Seconds solver_seconds = 0.0;  ///< wall-clock time of the optimizer
+  };
+
   struct ManagedTx {
     std::unique_ptr<TransactionalApp> app;     ///< ground truth
     std::shared_ptr<const ArrivalRateProfile> rate;
@@ -300,12 +258,21 @@ class ApcController {
   /// The app view used for placement this cycle (profiled or truth).
   const TransactionalApp& PlacementView(const ManagedTx& tx) const;
 
+  // RunCycle's three phases, run back-to-back at one instant.
+  /// Freeze the system: advance jobs to `now`, reconcile offline nodes, and
+  /// snapshot cluster/jobs/transactional demand.
+  CycleCapture CaptureCycle(Seconds now);
+  /// Run the placement optimizer (monolithic or sharded, per Config) on a
+  /// captured snapshot.
+  CycleSolution SolveCycle(const PlacementSnapshot& snapshot) const;
+  /// Put the decision into effect at the capture instant, record stats,
+  /// traces and metrics, and re-arm the completion watch.
+  void CommitCycle(const CycleCapture& capture, CycleSolution solution,
+                   Simulation& sim);
+
   /// Start queued/suspended jobs on currently unallocated capacity, at most
   /// `max_placements` of them. Returns the number of jobs placed.
   int QuickDispatch(Simulation& sim, int max_placements = kUnbounded);
-  /// Shared body of OnNodeFault/OnNodeFaultAt; `sim` is null in service
-  /// mode (no completion watch).
-  void RepairNow(Seconds now, Simulation* sim);
   /// Consult the operation oracle; counts and reports a vetoed operation.
   bool OperationFails(PlacementChange::Kind kind, AppId app);
   /// Re-queue placed jobs whose node has gone offline (defence in depth —

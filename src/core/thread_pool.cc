@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <exception>
 
-#include "common/log.h"
 #include "common/thread_annotations.h"
 
 namespace mwp {
@@ -26,10 +25,6 @@ struct ThreadPool::State {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> finished{0};
   std::atomic<bool> abort{false};
-  /// One-deep TrySubmit slot: a pending task is claimed by whichever worker
-  /// wakes first and runs outside the lock.
-  std::function<void()> task MWP_GUARDED_BY(mu);
-  bool task_pending MWP_GUARDED_BY(mu) = false;
 };
 
 ThreadPool::ThreadPool(int workers) : state_(std::make_unique<State>()) {
@@ -57,31 +52,15 @@ void ThreadPool::WorkerLoop(std::stop_token stop, int lane) {
   for (;;) {
     const std::function<void(int, std::size_t)>* fn = nullptr;
     std::size_t count = 0;
-    std::function<void()> task;
     {
       MutexLock lock(s.mu);
-      while (!stop.stop_requested() && s.generation == seen_generation &&
-             !s.task_pending) {
+      while (!stop.stop_requested() && s.generation == seen_generation) {
         s.work_cv.wait(lock.native());
       }
       if (stop.stop_requested()) return;
-      if (s.task_pending) {
-        task = std::move(s.task);
-        s.task = nullptr;
-        s.task_pending = false;
-      } else {
-        seen_generation = s.generation;
-        fn = s.fn;
-        count = s.count;
-      }
-    }
-    if (task) {
-      try {
-        task();
-      } catch (...) {
-        MWP_LOG_ERROR << "ThreadPool::TrySubmit task threw; result dropped";
-      }
-      continue;
+      seen_generation = s.generation;
+      fn = s.fn;
+      count = s.count;
     }
     for (;;) {
       if (s.abort.load(std::memory_order_relaxed)) break;
@@ -157,23 +136,6 @@ void ThreadPool::ParallelFor(
     s.error = nullptr;
   }
   if (err) std::rethrow_exception(err);
-}
-
-bool ThreadPool::TrySubmit(std::function<void()> task) {
-  if (!task || threads_.empty()) return false;
-  State& s = *state_;
-  // Never block the caller: a contended pool lock (a batch being published
-  // or another submitter) counts as "busy now, try again later".
-  if (!s.mu.TryLock()) return false;
-  bool accepted = false;
-  if (!s.task_pending) {
-    s.task = std::move(task);
-    s.task_pending = true;
-    s.work_cv.notify_one();
-    accepted = true;
-  }
-  s.mu.Unlock();
-  return accepted;
 }
 
 }  // namespace mwp

@@ -43,20 +43,6 @@ class ThreadPool {
   void ParallelFor(std::size_t count,
                    const std::function<void(int lane, std::size_t i)>& fn);
 
-  /// Non-blocking single-task submission: hands `task` to a worker and
-  /// returns true, or returns false WITHOUT BLOCKING when the pool cannot
-  /// take it right now — no workers, the one-deep task slot is already
-  /// occupied, or the pool lock is contended. Callers shed load on false
-  /// (retry later) instead of stalling; the event-driven controller service
-  /// uses this to keep its control thread responsive while a solve runs.
-  ///
-  /// The task must not throw (exceptions are caught and logged, never
-  /// rethrown). A task accepted but not yet started when the pool is
-  /// destroyed is dropped. A running task delays any concurrent
-  /// ParallelFor on the same pool until it finishes; give latency-sensitive
-  /// services their own pool.
-  bool TrySubmit(std::function<void()> task);
-
  private:
   struct State;
   void WorkerLoop(std::stop_token stop, int lane);

@@ -2,8 +2,8 @@
 //
 // Producers (workload sources, fault detectors, load watchers, timers)
 // describe *what happened* in one of these records and push it into the
-// service's bounded inbox; the control thread drains, deduplicates and
-// classifies them into placement decisions (see svc/controller_service.h).
+// service's bounded inbox; the service drains, deduplicates and classifies
+// them into placement decisions (see svc/controller_service.h).
 // Events are plain values — trivially copyable, no ownership — so the
 // lock-free inbox can move them between threads without allocation.
 #pragma once
@@ -30,9 +30,8 @@ const char* ControlEventKindName(ControlEventKind kind);
 
 struct ControlEvent {
   ControlEventKind kind = ControlEventKind::kTimerTick;
-  /// Domain time of the event: simulation time in sim-driven mode, the
-  /// producer's virtual clock in threaded mode. Decisions are made at the
-  /// max time drained so far (time never goes backwards).
+  /// Simulation time at which the event happened. Decisions are made at
+  /// the simulation's current instant when the service pumps.
   Seconds time = 0.0;
   /// Subject of the event: the job for arrival/completion, the node for
   /// fault/restore, the registration index of the tx app for a load shift.

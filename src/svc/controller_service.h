@@ -3,8 +3,8 @@
 // The paper's controller wakes on a fixed periodic cycle (§3.1). This
 // service turns it event-driven: producers publish typed ControlEvents
 // (job arrival/completion, node fault/restore, tx load shift, timer tick)
-// into a bounded lock-free MPSC inbox; the control side drains batches,
-// deduplicates them, and classifies each batch:
+// into a bounded lock-free MPSC inbox; Pump drains batches, deduplicates
+// them, and classifies each batch:
 //
 //   * small perturbation — a modest batch of arrivals/completions, or a
 //     bounded set of faulted nodes — is answered sub-cycle by the
@@ -15,39 +15,27 @@
 //     events mean the inbox no longer reflects ground truth) — triggers a
 //     full control cycle.
 //
-// Two driving modes share that decision logic:
-//
-//   * Sim mode (Pump): event adapters publish and pump from inside
-//     simulation events. Decisions run synchronously through the exact
-//     RunCycle / OnJobSubmitted / OnNodeFault entry points, so a service
-//     driven only by timer ticks is bit-identical to the periodic
-//     controller (the quiescent-equivalence test pins this down).
-//   * Threaded mode (Start/Stop): a dedicated control thread drains the
-//     inbox. Full solves can run asynchronously: the capture is staged in
-//     a core::DoubleBuffer (latest-wins) and solved on a ThreadPool via
-//     non-blocking TrySubmit, so state ingestion and sub-cycle repairs
-//     continue while the solver runs; the commit happens back on the
-//     control thread. Structural events (fault/restore) are deferred while
-//     a solve is in flight so world mutations never race the solver.
+// The service is driven from inside a simulation: event adapters
+// (svc/event_adapters.h) publish and then Pump from simulation events, and
+// each decision runs synchronously through the controller's RunCycle /
+// OnJobSubmitted / OnNodeFault, the paper's periodic loop with the job
+// scheduler acting between cycles (§3.1). A service driven only by timer
+// ticks is therefore bit-identical to the periodic controller (the
+// quiescent-equivalence test pins this down).
 //
 // Observability (optional MetricsRegistry): the event-to-decision latency
 // histogram (p50/p95/p99 via the obs quantile export), inbox depth gauge,
-// decisions-by-kind counters, shed/dedup counters, and async-solve
-// deferral counters. Event-triggered full cycles tag their CycleTrace
-// record with trigger="event"; tick cycles stay untagged so traces remain
-// byte-identical to periodic-controller recordings.
+// decisions-by-kind counters and shed/dedup counters. Event-triggered
+// full cycles tag their CycleTrace record with trigger="event"; tick
+// cycles stay untagged so traces remain byte-identical to
+// periodic-controller recordings.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "core/apc_controller.h"
-#include "core/double_buffer.h"
-#include "core/thread_pool.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
 #include "svc/control_event.h"
@@ -69,19 +57,6 @@ class ControllerService {
     /// Classification: at most this many distinct faulted nodes per batch
     /// are handled by the bounded-churn repair path; more is large drift.
     int max_fault_repairs = 4;
-    /// Threaded mode: run full solves asynchronously on `solver_pool`
-    /// (requires a pool with >= 1 worker). Sim mode ignores this.
-    bool async_full_solve = false;
-    ThreadPool* solver_pool = nullptr;
-    /// Threaded mode: how long the control thread parks when idle.
-    std::int64_t idle_wait_ns = 1'000'000;
-    /// Threaded mode: applies an event's world mutation on the control
-    /// thread before the batch is classified — create and submit the Job
-    /// for a kJobArrival, flip cluster health for kNodeFault/kNodeRestore.
-    /// Runs serialized with solves (structural events are deferred while a
-    /// solve is in flight). Sim mode leaves this unset: the simulation's
-    /// own actors (workload source, fault injector) mutate the world.
-    std::function<void(const ControlEvent&)> apply_event;
     /// Optional metrics sink (svc.* instruments). Non-owning.
     obs::MetricsRegistry* metrics = nullptr;
   };
@@ -93,11 +68,9 @@ class ControllerService {
     std::uint64_t quick_dispatches = 0; ///< arrival/completion fast path
     std::uint64_t batches = 0;          ///< decision batches handled
     std::uint64_t deduped = 0;          ///< redundant events dropped in drain
-    std::uint64_t deferrals = 0;        ///< solves/batches deferred (busy)
   };
 
   ControllerService(ApcController* controller, Config config);
-  ~ControllerService();
 
   ControllerService(const ControllerService&) = delete;
   ControllerService& operator=(const ControllerService&) = delete;
@@ -106,24 +79,16 @@ class ControllerService {
   /// false when the inbox sheds the event (bounded, never blocks).
   bool Publish(ControlEvent event);
 
-  /// Sim mode: drain the inbox and decide at sim.now(). Called by the
-  /// event adapters right after they publish, from simulation events.
+  /// Drain the inbox and decide at sim.now(). Called by the event
+  /// adapters right after they publish, from simulation events.
   void Pump(Simulation& sim);
-
-  /// Threaded mode: start/stop the control thread. Stop drains the inbox,
-  /// waits out an in-flight solve and commits it, then joins.
-  void Start();
-  void Stop();
 
   const EventInbox& inbox() const { return inbox_; }
   const Counters& counters() const { return counters_; }
-  /// Largest event/decision time seen so far (threaded mode's clock).
-  Seconds now() const { return now_; }
 
  private:
   /// One drained batch, deduplicated into decision-relevant aggregates.
   struct Batch {
-    Seconds time = 0.0;                 ///< max event time in the batch
     int arrivals = 0;
     int completions = 0;
     std::vector<NodeId> fault_nodes;    ///< distinct
@@ -139,42 +104,16 @@ class ControllerService {
 
   Batch Summarize(const std::vector<ControlEvent>& events);
   Decision Classify(const Batch& batch) const;
-  /// Decide and execute one batch. `sim` null = threaded mode.
-  void HandleBatch(const std::vector<ControlEvent>& events, Simulation* sim);
-
-  // Threaded-mode internals (control thread only unless noted).
-  void RunLoop(const std::stop_token& stop);
-  void LaunchAsyncSolve();
-  /// Commits a finished async solve, replays deferred structural batches,
-  /// and launches the next staged solve. No-op while the solve runs.
-  void CheckAsyncCompletion();
-  void FinishOutstanding();
+  /// Decide and execute one batch at sim.now().
+  void HandleBatch(const std::vector<ControlEvent>& events, Simulation& sim);
   void ObserveLatencies(const std::vector<std::uint64_t>& stamps);
 
   ApcController* controller_;
   Config config_;
   EventInbox inbox_;
   Counters counters_;
-  Seconds now_ = 0.0;
   std::uint64_t last_dropped_ = 0;
-
-  // Async full-solve state. The double buffer stages captures (written by
-  // the control thread, read by the solver task); `solving_`/`solution_`
-  // hand the result back, published by the release-store to `solve_done_`.
-  DoubleBuffer<CycleCapture> staged_;
-  std::vector<std::uint64_t> staged_stamps_;
-  std::atomic<bool> solve_in_flight_{false};
-  std::atomic<bool> solve_done_{false};
-  const CycleCapture* solving_ = nullptr;
-  CycleSolution solution_;
-  std::vector<std::uint64_t> inflight_stamps_;
-
-  /// Structural batches deferred while a solve is in flight (events kept
-  /// verbatim; replayed through HandleBatch after the commit).
-  std::vector<ControlEvent> deferred_;
-
   std::vector<ControlEvent> drain_buffer_;
-  std::jthread thread_;
 };
 
 }  // namespace mwp

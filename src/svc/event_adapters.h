@@ -7,7 +7,8 @@
 // experiment can switch between the periodic controller and the
 // event-driven service with one flag and compare decisions. Each adapter
 // is a free function that registers simulation events; the service and
-// controller must outlive the simulation run.
+// controller must outlive the simulation run. Completions need no adapter:
+// the controller's own completion watch refills freed capacity.
 #pragma once
 
 #include <memory>
@@ -29,12 +30,6 @@ void AttachServiceTimer(ControllerService& service, Simulation& sim,
 /// after submitting the job to the queue.
 void PublishJobArrival(ControllerService& service, Simulation& sim,
                        AppId job);
-
-/// Publish a placed job's completion and pump (threaded-mode deployments
-/// need this to refill capacity; sim mode usually relies on the
-/// controller's completion watch instead).
-void PublishJobCompletion(ControllerService& service, Simulation& sim,
-                          AppId job);
 
 /// Publish a node fault at the simulation's current instant and pump.
 /// Call from a FaultListener where the experiment used to call

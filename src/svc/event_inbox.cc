@@ -1,9 +1,5 @@
 #include "svc/event_inbox.h"
 
-#include <chrono>
-
-#include "common/check.h"
-
 namespace mwp {
 
 std::size_t EventInbox::RoundUpPow2(std::size_t n) {
@@ -33,12 +29,6 @@ bool EventInbox::TryPush(const ControlEvent& event) {
         cell.event = event;
         cell.seq.store(pos + 1, std::memory_order_release);
         pushed_.fetch_add(1, std::memory_order_relaxed);
-        if (parked_.load(std::memory_order_seq_cst)) {
-          // Ring the doorbell under the mutex so a consumer between its
-          // empty-check and wait cannot miss the wake-up.
-          MutexLock lock(doorbell_mu_);
-          doorbell_.notify_one();
-        }
         return true;
       }
       // Lost the race for this position; `pos` was reloaded by the CAS.
@@ -70,21 +60,6 @@ std::size_t EventInbox::DrainInto(std::vector<ControlEvent>& out,
     ++drained;
   }
   return drained;
-}
-
-bool EventInbox::WaitNonEmpty(std::int64_t timeout_ns) {
-  if (size() > 0) return true;
-  MutexLock lock(doorbell_mu_);
-  parked_.store(true, std::memory_order_seq_cst);
-  // Re-check after publishing the parked flag: a producer that pushed
-  // before seeing the flag is only visible through the ring itself.
-  bool nonempty = size() > 0;
-  if (!nonempty) {
-    doorbell_.wait_for(lock.native(), std::chrono::nanoseconds(timeout_ns));
-    nonempty = size() > 0;
-  }
-  parked_.store(false, std::memory_order_seq_cst);
-  return nonempty;
 }
 
 std::size_t EventInbox::size() const {

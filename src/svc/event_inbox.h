@@ -9,24 +9,16 @@
 // locks, no allocation, and a full queue is reported (TryPush → false)
 // rather than waited on, so producers shed load instead of blocking.
 //
-// On top of the ring sits an optional consumer block: WaitNonEmpty parks
-// the drainer on a condition variable when the ring is empty, and
-// producers ring the doorbell only when they observe the parked flag — the
-// hot path (consumer keeping up) never takes the mutex.
-//
 // Threading contract: any number of producers may call TryPush
-// concurrently; DrainInto/WaitNonEmpty are single-consumer. Counters are
-// relaxed atomics, exact but only eventually consistent across threads.
+// concurrently; DrainInto is single-consumer and never blocks. Counters
+// are relaxed atomics, exact but only eventually consistent across threads.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "svc/control_event.h"
 
 namespace mwp {
@@ -47,11 +39,6 @@ class EventInbox {
   /// Consumer: pop up to `max` events into `out` (appended). Returns the
   /// number drained. Never blocks.
   std::size_t DrainInto(std::vector<ControlEvent>& out, std::size_t max);
-
-  /// Consumer: block until the ring is (probably) non-empty or
-  /// `timeout_ns` nanoseconds elapsed. Returns true when events appear to
-  /// be available. Spurious wakeups are allowed; callers just drain.
-  bool WaitNonEmpty(std::int64_t timeout_ns);
 
   std::size_t capacity() const { return buffer_.size(); }
   /// Approximate number of queued events (exact when quiescent).
@@ -77,7 +64,6 @@ class EventInbox {
   /// a producer owns a cell between claiming it (CAS on enqueue_pos_) and
   /// bumping seq; the consumer owns it between observing seq and bumping it
   /// past the lap. The vector itself never reallocates after construction.
-  // audit: not-guarded(per-cell seq handoff owns each slot; ring never reallocates)
   std::vector<Cell> buffer_;
   const std::size_t mask_;
   /// Producers claim ring positions from enqueue_pos_; the consumer owns
@@ -86,13 +72,6 @@ class EventInbox {
   alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
   std::atomic<std::uint64_t> pushed_{0};
   std::atomic<std::uint64_t> dropped_{0};
-
-  /// Doorbell for WaitNonEmpty. `parked_` is checked by producers after a
-  /// successful push; the notify is taken under the mutex so the consumer
-  /// cannot miss it between its empty-check and the wait.
-  std::atomic<bool> parked_{false};
-  Mutex doorbell_mu_;
-  std::condition_variable doorbell_;
 };
 
 }  // namespace mwp

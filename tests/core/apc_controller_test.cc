@@ -474,5 +474,43 @@ TEST(ApcControllerRepairTest, VetoedStartIsRetriedNextCycle) {
   EXPECT_NEAR(job.work_done(), 500.0, 1.0);
 }
 
+TEST(ApcControllerRepairTest, RepairReportsOnlyItsOwnVetoes) {
+  // A quick dispatch's vetoed start is folded into the next cycle's stats;
+  // a repair that runs before that cycle must not report it as its own.
+  ClusterSpec cluster = SmallCluster(2);
+  JobQueue queue;
+  Simulation sim;
+  ApcController::Config cfg;
+  cfg.control_cycle = 100.0;
+  cfg.costs = VmCostModel::Free();
+  int calls = 0;
+  cfg.vm_operation_oracle = [&calls](PlacementChange::Kind, AppId) {
+    return ++calls <= 1;  // only the first start attempt fails
+  };
+  ApcController controller(&cluster, &queue, cfg);
+
+  controller.Attach(sim, 0.0);  // cycle 0: empty system, nothing to veto
+  sim.ScheduleAt(1.0, [&](Simulation& s) {
+    queue.Submit(MakeJob(1, s.now(), 20'000.0, 1'000.0, 5.0));
+    controller.OnJobSubmitted(s);  // vetoed: the job stays queued
+    ASSERT_FALSE(queue.Find(1)->placed());
+  });
+  sim.ScheduleAt(2.0, [&](Simulation& s) {
+    cluster.SetNodeOffline(1);
+    controller.OnNodeFault(s);  // its dispatch starts the job, no veto
+    EXPECT_TRUE(queue.Find(1)->placed());
+  });
+  sim.RunUntil(150.0);
+
+  ASSERT_EQ(controller.repairs().size(), 1u);
+  const RepairStats& repair = controller.repairs()[0];
+  EXPECT_EQ(repair.job_placements, 1);
+  EXPECT_EQ(repair.failed_operations, 0);
+  // The quick dispatch's veto still lands in the next cycle's stats.
+  ASSERT_EQ(controller.cycles().size(), 2u);
+  EXPECT_EQ(controller.cycles()[0].failed_operations, 0);
+  EXPECT_EQ(controller.cycles()[1].failed_operations, 1);
+}
+
 }  // namespace
 }  // namespace mwp

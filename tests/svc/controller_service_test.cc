@@ -17,7 +17,7 @@
 namespace mwp {
 namespace {
 
-// Small world driven through the service in sim mode. Jobs are 10 s at
+// Small world driven through the service from a simulation. Jobs are 10 s at
 // full speed, three per node by memory, so the quick-dispatch and repair
 // paths have real placements to make.
 struct ServiceWorld {
@@ -202,6 +202,65 @@ TEST(ControllerServiceTest, TxLoadShiftWatcherFiresOnlyPastThreshold) {
 
   w.sim.RunUntil(301.0);  // 10 → 20 crosses 25%: one shift, re-anchored
   EXPECT_EQ(w.service->counters().full_cycles, 1u);
+}
+
+// No event is lost: a storm of every decision kind — ticks, arrivals,
+// duplicate faults, a restore and an overflowing burst that sheds one event —
+// is accounted for exactly once by the counters, the controller and the
+// latency histogram.
+TEST(ControllerServiceTest, MixedStormAccountsForEveryEvent) {
+  ControllerService::Config cfg;
+  cfg.inbox_capacity = 8;
+  ServiceWorld w(cfg);
+  AttachServiceTimer(*w.service, w.sim, /*first=*/0.0, /*period=*/100.0);
+  w.sim.ScheduleAt(10.0, [&](Simulation& s) {
+    for (int i = 0; i < 3; ++i) PublishJobArrival(*w.service, s, w.SubmitJob());
+  });
+  w.sim.ScheduleAt(20.0, [&](Simulation& s) {
+    w.cluster.SetNodeOffline(1);
+    ControlEvent fault = w.Event(ControlEventKind::kNodeFault);
+    fault.node = 1;
+    w.service->Publish(fault);  // a flapping detector reports it twice
+    PublishNodeFault(*w.service, s, 1);
+  });
+  w.sim.ScheduleAt(30.0, [&](Simulation& s) {
+    w.cluster.SetNodeOnline(1);
+    PublishNodeRestore(*w.service, s, 1);
+  });
+  w.sim.ScheduleAt(40.0, [&](Simulation& s) {
+    // One more arrival than the ring holds: the last one is shed.
+    for (int i = 0; i < 9; ++i) {
+      ControlEvent e = w.Event(ControlEventKind::kJobArrival);
+      e.job = w.SubmitJob();
+      w.service->Publish(e);
+    }
+    w.service->Pump(s);
+    EXPECT_EQ(w.service->inbox().size(), 0u);
+  });
+  w.sim.ScheduleAt(150.0, [&](Simulation& s) {
+    w.service->Publish(w.Event(ControlEventKind::kTimerTick));
+    w.service->Publish(w.Event(ControlEventKind::kTimerTick));
+    w.service->Pump(s);
+  });
+  w.sim.RunUntil(250.0);
+
+  const ControllerService::Counters& c = w.service->counters();
+  EXPECT_EQ(w.service->inbox().dropped(), 1u);
+  EXPECT_EQ(w.metrics.counter("svc.events_shed").value(), 1u);
+  EXPECT_EQ(c.quick_dispatches, 3u);
+  EXPECT_EQ(c.repairs, 1u);
+  // Ticks at 0, 100, 200, the restore, the overflowed burst, and the two
+  // coalesced ticks at 150.
+  EXPECT_EQ(c.full_cycles, 6u);
+  EXPECT_EQ(c.deduped, 2u);  // the duplicate fault and the second tick
+
+  // Every accepted event was decided by some batch; none is left queued.
+  EXPECT_EQ(w.metrics.counter("svc.events").value(),
+            w.service->inbox().pushed());
+  EXPECT_EQ(w.service->inbox().size(), 0u);
+  EXPECT_EQ(c.full_cycles, w.controller->cycles().size());
+  EXPECT_EQ(w.metrics.histogram("svc.event_to_decision_seconds").count(),
+            w.service->inbox().pushed());
 }
 
 // The tentpole's equivalence guarantee: an Experiment 1 run driven through

@@ -76,17 +76,6 @@ TEST(EventInboxTest, RingSurvivesManyLaps) {
   EXPECT_EQ(inbox.dropped(), 0u);
 }
 
-TEST(EventInboxTest, WaitNonEmptyReturnsImmediatelyWhenEventsQueued) {
-  EventInbox inbox(8);
-  EXPECT_TRUE(inbox.TryPush(Arrival(0)));
-  EXPECT_TRUE(inbox.WaitNonEmpty(/*timeout_ns=*/0));
-}
-
-TEST(EventInboxTest, WaitNonEmptyTimesOutOnEmptyRing) {
-  EventInbox inbox(8);
-  EXPECT_FALSE(inbox.WaitNonEmpty(/*timeout_ns=*/1'000'000));
-}
-
 TEST(EventInboxTest, EventKindNamesAreStable) {
   // The names feed metric labels and log lines; renaming one is a schema
   // change, not a refactor.
